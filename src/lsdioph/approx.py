@@ -21,10 +21,11 @@ from .series import (
     LaurentSeries,
     RationalFn,
     SeriesMatrix,
+    lattice_distance,
     lift_poly,
-    mat_vec_mul,
     scalar_one,
     scalar_zero,
+    vec_dot,
     vec_height,
 )
 
@@ -187,13 +188,7 @@ def _dist_with_cutoff(q, A: SeriesMatrix, cutoff):
     the score cannot beat the running minimum."""
     dist = Magnitude.zero(A.spec.k)
     for j in range(A.cols):
-        coord = None
-        for qi, a in zip(q, A.col(j)):
-            if qi.is_zero:
-                continue
-            term = a * qi
-            coord = term if coord is None else coord + term
-        fn = Magnitude.zero(A.spec.k) if coord is None else coord.frac_norm()
+        fn = vec_dot(q, A.col(j)).frac_norm()
         if cutoff is not None and fn >= cutoff:
             return None
         if fn > dist:
@@ -271,17 +266,14 @@ def _dirichlet_cf(sys: LinearFormSystem, t: int) -> ApproxWitness:
             break
         rem = scalar_one(spec, frac) / frac
     q = (q_cur,)
-    dist = _exact_dist(q, sys.matrix)
+    dist = exact_dist(q, sys.matrix)
     h = vec_height(q)
     return ApproxWitness(q, h, dist, h * dist)
 
 
-def _exact_dist(q, A: SeriesMatrix) -> Magnitude:
-    vec = mat_vec_mul(q, A)
-    out = Magnitude.zero(A.spec.k)
-    for v in vec:
-        out = max(out, v.frac_norm())
-    return out
+def exact_dist(q, A: SeriesMatrix) -> Magnitude:
+    """dist(qA), the distance of the linear forms qA to the lattice."""
+    return lattice_distance(vec_dot(q, A.col(j)) for j in range(A.cols))
 
 
 def _dirichlet_pigeonhole(
@@ -303,7 +295,7 @@ def _dirichlet_pigeonhole(
             other = buckets[key]
             diff = tuple(a - b for a, b in zip(q, other))
             if any(not p.is_zero for p in diff):
-                dist = _exact_dist(diff, sys.matrix)
+                dist = exact_dist(diff, sys.matrix)
                 h = vec_height(diff)
                 wit = ApproxWitness(diff, h, dist, h**m * dist**n)
                 if best is None or wit.dist < best.dist:
@@ -311,7 +303,7 @@ def _dirichlet_pigeonhole(
         else:
             buckets[key] = q
         if any(not p.is_zero for p in q):
-            dist = _exact_dist(q, sys.matrix)
+            dist = exact_dist(q, sys.matrix)
             hq = vec_height(q)
             wit = ApproxWitness(q, hq, dist, hq**m * dist**n)
             if best is None or wit.dist < best.dist:
@@ -322,19 +314,7 @@ def _dirichlet_pigeonhole(
 
 
 def _frac_window_key(q, A: SeriesMatrix, u: int):
-    out = []
-    for j in range(A.cols):
-        coord = None
-        for qi, a in zip(q, A.col(j)):
-            if qi.is_zero:
-                continue
-            term = a * qi
-            coord = term if coord is None else coord + term
-        if coord is None:
-            out.append((0,) * u)
-            continue
-        out.append(_frac_digits(coord, u))
-    return tuple(out)
+    return tuple(_frac_digits(vec_dot(q, A.col(j)), u) for j in range(A.cols))
 
 
 def _frac_digits(x, u: int):

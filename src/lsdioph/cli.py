@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -70,13 +71,13 @@ from .series import (
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    argv = _expand_config(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
-        parser.print_help()
-        return 2
     try:
+        argv = _attach_dash_values(_expand_config(argv))
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if not hasattr(args, "handler"):
+            parser.print_help()
+            return 2
         result = args.handler(args)
     except (
         InsufficientDepth,
@@ -85,13 +86,31 @@ def main(argv=None) -> int:
         SearchIncomplete,
         WitnessNotFound,
     ) as exc:
-        _emit_diagnostic(args, exc)
+        _emit_diagnostic(exc)
         return 3
     except CounterexampleFound as exc:
-        _emit_diagnostic(args, exc, extra={"q": [str(p) for p in exc.q]})
+        _emit_diagnostic(exc, extra={"q": [str(p) for p in exc.q]})
         return 4
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        # bad values (DivisionByZero included) and unreadable files are
+        # usage errors, not crashes
+        _emit_diagnostic(exc)
+        return 2
     _emit(args, result)
     return 0
+
+
+def _attach_dash_values(argv):
+    """Glue ``--flag -10,-7`` into ``--flag=-10,-7``: argparse takes a value
+    that starts with '-' and is not a plain number for an option."""
+    out = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and re.match(r"-\d", tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _expand_config(argv):
@@ -99,6 +118,8 @@ def _expand_config(argv):
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ValueError("--config needs a file path")
     path = argv[idx + 1]
     rest = argv[:idx] + argv[idx + 2 :]
     injected = []
@@ -177,7 +198,7 @@ def _print_text(envelope):
     walk(envelope)
 
 
-def _emit_diagnostic(args, exc, extra=None):
+def _emit_diagnostic(exc, extra=None):
     diag = {
         "error": type(exc).__name__,
         "message": str(exc),
@@ -286,7 +307,6 @@ def _build_parser():
     p.add_argument("--rounds", type=int, default=24)
     p.add_argument("--initial-radius", default="1")
     p.add_argument("--R-exp", type=int, default=2)
-    p.add_argument("--sigma-exp", type=int, default=0)
     p.add_argument("--cap", type=int, default=4, help="strategy height cap exponent")
     p.add_argument("--out", help="transcript path (JSON lines)")
     p.set_defaults(handler=_cmd_game_run, command_path="game run")
@@ -512,9 +532,7 @@ def _cmd_game_run(args):
         args.m,
         args.n,
         R_exp=args.R_exp,
-        sigma_exp=args.sigma_exp,
         height_cap_exp=args.cap,
-        mode="literal" if args.white == "white-literal" else "avoidance",
     )
     white = strat.make_white(args.white, cfg)
     black = _make_black(args.black, args.seed)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import BranchOutOfRange, SearchBudgetExceeded
 from .field import FieldSpec, Magnitude, floor_log
 from .game import GameTranscript
-from .series import LaurentSeries
+from .series import LaurentSeries, vec_dot
 
 
 @dataclass(frozen=True)
@@ -190,8 +190,8 @@ def box_count_bad(
     depth, so the count is exact.  K = 0 keeps every cell; K >= 1 kills
     every cell (a Dirichlet-type witness always scores below 1).
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    if t < 1 or m < 1 or n < 1:
+        raise ValueError("t, m and n must be >= 1")
     k = spec.k
     mn = m * n
     cap = int(height_cap.exponent().__floor__())
@@ -357,14 +357,7 @@ def _cell_survives(A, qs, spec) -> bool:
     for q, _h, theta_ceil in qs:
         ok = False
         for j in range(A.cols):
-            acc = None
-            for qi, a in zip(q, A.col(j)):
-                if qi.is_zero:
-                    continue
-                term = a * qi
-                acc = term if acc is None else acc + term
-            if acc is None:
-                continue
+            acc = vec_dot(q, A.col(j))
             if any(theta_ceil <= e <= -1 and c for e, c in acc.coeffs.items()):
                 ok = True
                 break

@@ -24,7 +24,7 @@ from functools import cached_property
 from .errors import SearchIncomplete
 from .field import Magnitude, Poly
 from .linalg import adjugate, det, fq_nullspace, poly_independent
-from .series import LaurentSeries, SeriesMatrix
+from .series import LaurentSeries, SeriesMatrix, vec_dot
 
 
 @dataclass(frozen=True)
@@ -76,26 +76,9 @@ class Parallelepiped:
 
 def distance_value(P: Parallelepiped, x) -> Magnitude:
     """F(x) = max_j ||(xA)_j|| / c_j for a vector of scalars."""
-    x = list(x)
-    if len(x) != P.dim:
-        raise ValueError("dimension mismatch")
+    x = tuple(x)
     scaled = P.scaled_matrix
-    out = Magnitude.zero(P.spec.k)
-    for j in range(P.dim):
-        coord = None
-        for xi, a in zip(x, scaled.col(j)):
-            if isinstance(xi, Poly):
-                if xi.is_zero:
-                    continue
-                term = a * xi
-            else:
-                if xi.is_zero:
-                    continue
-                term = xi * a
-            coord = term if coord is None else coord + term
-        if coord is not None:
-            out = max(out, coord.norm())
-    return out
+    return max(vec_dot(x, scaled.col(j)).norm() for j in range(P.dim))
 
 
 def parallelepiped_measure(P: Parallelepiped) -> Fraction:

@@ -9,7 +9,7 @@ plain Gaussian elimination are the right tools.
 from __future__ import annotations
 
 from .field import FieldSpec
-from .series import SeriesMatrix, scalar_zero
+from .series import SeriesMatrix, scalar_zero, vec_dot
 
 
 def det(matrix: SeriesMatrix):
@@ -25,17 +25,14 @@ def _det_rows(rows, spec):
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    out = None
+    cofactors = []
     for j in range(n):
-        a = rows[0][j]
         minor = [
             [row[jj] for jj in range(n) if jj != j] for row in rows[1:]
         ]
-        term = a * _det_rows(minor, spec)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    return out
+        d = _det_rows(minor, spec)
+        cofactors.append(-d if j % 2 else d)
+    return vec_dot(cofactors, rows[0])
 
 
 def det_entries(rows, spec):

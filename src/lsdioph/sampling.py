@@ -4,8 +4,6 @@ reproducible from a single seed."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .field import FieldSpec, Magnitude, Poly
 from .game import FormalBall
 from .linalg import det, series_vec_rank_at_zero
@@ -102,9 +100,3 @@ def random_orthonormal_basis(rng, spec: FieldSpec, count: int, dim: int, depth: 
             vecs.append(tuple(vec))
         if series_vec_rank_at_zero(vecs, spec) == count:
             return tuple(vecs)
-
-
-def random_fraction_in_unit(rng, denominator_bound: int = 64) -> Fraction:
-    den = rng.randrange(2, denominator_bound)
-    num = rng.randrange(1, den)
-    return Fraction(num, den)

@@ -548,29 +548,30 @@ def lattice_distance(vec) -> Magnitude:
     return out
 
 
-def poly_vec_dot(q, column):
-    """Dot product of a polynomial vector with a column of scalars."""
-    out = None
-    for qi, a in zip(q, column):
-        term = a * qi
-        out = term if out is None else out + term
-    return out
+def vec_dot(q, column):
+    """The linear form sum_i a_i * q_i, for a vector q of polynomials or
+    scalars and a column a of scalars.
 
-
-def vec_dot(u, v):
-    """Dot product of two scalar vectors."""
-    if len(u) != len(v):
+    Zero q_i are skipped: a zero factor contributes an exact zero, so the
+    value and its precision floor are those of the full sum.  The exact zero
+    scalar is returned when every q_i is zero.
+    """
+    if len(q) != len(column):
         raise ValueError("dimension mismatch")
     out = None
-    for a, b in zip(u, v):
-        term = a * b
+    for qi, a in zip(q, column):
+        if qi.is_zero:
+            continue
+        term = a * qi
         out = term if out is None else out + term
+    if out is None:
+        return scalar_zero(column[0].spec, column[0])
     return out
 
 
 def mat_vec_mul(q, matrix: SeriesMatrix):
     """Row vector (polynomials) times matrix of scalars."""
-    return tuple(poly_vec_dot(q, matrix.col(j)) for j in range(matrix.cols))
+    return tuple(vec_dot(q, matrix.col(j)) for j in range(matrix.cols))
 
 
 # ---------------------------------------------------------------------------

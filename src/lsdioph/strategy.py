@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approx import LinearFormSystem, build_hat, iter_height_class, iter_polys
+from .approx import LinearFormSystem, build_hat, exact_dist, iter_height_class, iter_polys
 from .errors import CounterexampleFound, NoLegalCenter, SearchBudgetExceeded
 from .field import FieldSpec, Magnitude, Poly, floor_log
 from .game import FormalBall, GameTranscript, canonicalize, legal_center_shift_exponent
@@ -43,10 +43,7 @@ class StrategyConfig:
     m: int
     n: int
     R_exp: int = 2
-    sigma_exp: int = 0
-    rho1: Fraction = Fraction(1)
     height_cap_exp: int = 4
-    mode: str = "avoidance"
     # worst cases of `lsdioph calibrate constants` sweeps over
     # (m, n) in {(1,1),(2,1),(1,2)} x k in {2,3}, seed 0
     K4: Fraction = Fraction(1)
@@ -57,8 +54,6 @@ class StrategyConfig:
     def __post_init__(self):
         if self.R_exp < 1:
             raise ValueError("R must be a k-power > 1")
-        if self.mode not in ("literal", "avoidance"):
-            raise ValueError("mode must be 'literal' or 'avoidance'")
 
     @property
     def d(self) -> int:
@@ -134,30 +129,10 @@ def schedule_markers(t: GameTranscript, cfg: StrategyConfig) -> MarkerSchedule:
 
 def _block_values(center: SeriesMatrix, kind: str, q_first):
     """Matrix-block part of the hat-column dot products: one series per
-    tail column."""
+    tail column (columns of the center for kind k, rows for kind h)."""
     if kind == "k":
-        cols = center.cols
-        out = []
-        for l in range(cols):
-            acc = None
-            for i, qi in enumerate(q_first):
-                if qi.is_zero:
-                    continue
-                term = center.entry(i, l) * qi
-                acc = term if acc is None else acc + term
-            out.append(acc if acc is not None else LaurentSeries.zero(center.spec))
-        return out
-    rows = center.rows
-    out = []
-    for l in range(rows):
-        acc = None
-        for i, qi in enumerate(q_first):
-            if qi.is_zero:
-                continue
-            term = center.entry(l, i) * qi
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else LaurentSeries.zero(center.spec))
-    return out
+        return [vec_dot(q_first, center.col(l)) for l in range(center.cols)]
+    return [vec_dot(q_first, center.row(l)) for l in range(center.rows)]
 
 
 def check_inequalities(
@@ -179,17 +154,7 @@ def check_inequalities(
     hats = build_hat(LinearFormSystem(A))
     hat = hats.hat if kind == "k" else hats.hat_star
     thr = Magnitude(spec.k, cfg.threshold_exponent(kind, i))
-    for l in range(cfg.d - first):
-        acc = None
-        for qi, a in zip(q, hat.col(l)):
-            if qi.is_zero:
-                continue
-            term = a * qi
-            acc = term if acc is None else acc + term
-        val = Magnitude.zero(spec.k) if acc is None else acc.norm()
-        if not val < thr:
-            return False
-    return True
+    return all(vec_dot(q, hat.col(l)).norm() < thr for l in range(cfg.d - first))
 
 
 @dataclass(frozen=True)
@@ -506,19 +471,20 @@ def minor_sup(ball: FormalBall, basis, v: int) -> Magnitude:
     for pat in patterns:
         if all(c == 0 for c in pat):
             continue
-        rows = []
-        idx = 0
-        for i in range(C.rows):
-            row = []
-            for j in range(C.cols):
-                x = C.entry(i, j)
-                if pat[idx]:
-                    x = x + LaurentSeries.monomial(spec, pat[idx], e)
-                row.append(x)
-                idx += 1
-            rows.append(row)
-        best = max(best, minors(SeriesMatrix(spec, rows), basis, v).height())
+        shifted = C + _pattern_matrix(spec, C.rows, C.cols, pat, e)
+        best = max(best, minors(shifted, basis, v).height())
     return best
+
+
+def _pattern_matrix(spec, rows: int, cols: int, pat, e: int) -> SeriesMatrix:
+    """The matrix whose (i, j) entry is pat[i * cols + j] * X^e."""
+    return SeriesMatrix(
+        spec,
+        [
+            [LaurentSeries.monomial(spec, pat[i * cols + j], e) for j in range(cols)]
+            for i in range(rows)
+        ],
+    )
 
 
 def _single_entry_patterns(spec, cells):
@@ -579,19 +545,19 @@ class AvoidanceWhite:
                 )
         best = None
         for delta_pat in self._candidate_patterns():
+            shift = _pattern_matrix(spec, cfg.m, cfg.n, delta_pat, g)
             margin = None
             for kind, level, key, thr_exp in dangers:
                 m_d = self._margin(
-                    kind, key, delta_pat, g, e_sub, thr_exp, res_shifts[(kind, key)]
+                    kind, key, shift, e_sub, thr_exp, res_shifts[(kind, key)]
                 )
                 margin = m_d if margin is None else min(margin, m_d)
             if best is None or margin > best[0]:
-                best = (margin, delta_pat)
-        _, pat = best
+                best = (margin, delta_pat, shift)
+        _, pat, shift = best
         if any(pat):
             self.dodges += 1
-        center = self._apply_pattern(prev.center, pat, g)
-        return FormalBall(center, alpha * prev.radius)
+        return FormalBall(prev.center + shift, alpha * prev.radius)
 
     # -- candidate grid ------------------------------------------------------
 
@@ -603,21 +569,6 @@ class AvoidanceWhite:
         pats = [tuple([0] * cells)]
         pats.extend(_single_entry_patterns(spec, cells))
         return pats
-
-    def _apply_pattern(self, center: SeriesMatrix, pat, g: int) -> SeriesMatrix:
-        spec = self.cfg.spec
-        rows = []
-        idx = 0
-        for i in range(center.rows):
-            row = []
-            for j in range(center.cols):
-                x = center.entry(i, j)
-                if pat[idx]:
-                    x = x + LaurentSeries.monomial(spec, pat[idx], g)
-                row.append(x)
-                idx += 1
-            rows.append(row)
-        return SeriesMatrix(spec, rows)
 
     # -- danger bookkeeping ---------------------------------------------------
 
@@ -691,48 +642,25 @@ class AvoidanceWhite:
             self._qvecs[(kind, key)] = q_first
         return cached
 
-    def _margin(self, kind, key, pat, g, e_sub, thr_exp, res_shift):
-        """Worst-case violation margin of the danger on the candidate
-        sub-ball (in k-exponents; higher is safer, None-like floor is
-        represented by a large negative number)."""
+    def _margin(self, kind, key, shift, e_sub, thr_exp, res_shift):
+        """Worst-case violation margin of the danger on the sub-ball moved
+        by the candidate ``shift`` matrix (in k-exponents; higher is safer,
+        None-like floor is represented by a large negative number)."""
         cfg = self.cfg
         spec = cfg.spec
         q_first = self._qvecs[(kind, key)]
         h = max(p.degree for p in q_first if not p.is_zero)
         pert = Magnitude.power(spec.k, h + e_sub)
         base_values = self._values[(kind, key)]
-        shift = self._pattern_shift(kind, q_first, pat, g)
+        moved = _block_values(shift, kind, q_first)
         best = Fraction(-(10**9))
-        for v, s, r in zip(base_values, shift, res_shift):
-            val = v + r
-            if s is not None:
-                val = val + s
-            f = val.frac_norm()
+        for v, s, r in zip(base_values, moved, res_shift):
+            f = (v + r + s).frac_norm()
             reach = Magnitude.zero(spec.k) if f <= pert else f
             if reach.is_zero:
                 continue
             best = max(best, reach.exponent() - thr_exp)
         return best
-
-    def _pattern_shift(self, kind, q_first, pat, g):
-        cfg = self.cfg
-        spec = cfg.spec
-        m, n = cfg.m, cfg.n
-        tails = n if kind == "k" else m
-        out = []
-        for l in range(tails):
-            acc = None
-            for idx_first in range(len(q_first)):
-                if kind == "k":
-                    cell = idx_first * n + l
-                else:
-                    cell = l * n + idx_first
-                c = pat[cell]
-                if c and not q_first[idx_first].is_zero:
-                    term = LaurentSeries.monomial(spec, c, g) * q_first[idx_first]
-                    acc = term if acc is None else acc + term
-            out.append(acc)
-        return out
 
 
 class LiteralWhite:
@@ -877,7 +805,7 @@ def certify_bad(
     for h in range(0, cap + 1):
         for q in iter_height_class(spec, m, h):
             checked += 1
-            dist = _point_dist(q, point)
+            dist = exact_dist(q, point)
             score = Magnitude.power(k, h * m) * dist**n
             if score <= Magnitude.power(k, K_exp):
                 raise CounterexampleFound(
@@ -892,20 +820,6 @@ def certify_bad(
             mg = int(score.exponent()) - K_exp
             margin = mg if margin is None else min(margin, mg)
     return BadnessCertificate(K_exp, cap, margin, checked)
-
-
-def _point_dist(q, point: SeriesMatrix) -> Magnitude:
-    out = Magnitude.zero(point.spec.k)
-    for j in range(point.cols):
-        acc = None
-        for qi, a in zip(q, point.col(j)):
-            if qi.is_zero:
-                continue
-            term = a * qi
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out = max(out, acc.frac_norm())
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,53 @@ def test_literal_white_cli(tmp_path, capsys):
         "--no-timestamp",
     )
     assert code == 0
+
+
+BOXCOUNT = ("dim", "boxcount", "--field", "2", "--cap", "2", "--no-timestamp")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("cf", "--x", "X^-1", "--config"), "ValueError"),
+        (("cf", "--x", "X^-1", "--config", "{missing}"), "FileNotFoundError"),
+        (("certify", "--transcript", "{missing}", "--cap", "2"), "FileNotFoundError"),
+        (BOXCOUNT + ("--t", "0", "--K-exps=-4"), "ValueError"),
+        (BOXCOUNT + ("--t", "2", "--m", "0", "--K-exps=-4"), "ValueError"),
+        (BOXCOUNT + ("--t", "2", "--K-exps=abc"), "ValueError"),
+        (BOXCOUNT + ("--t", "2", "--K-exps=1/2"), "ValueError"),
+        (("series", "--x", "X^^2"), "SeriesSyntaxError"),
+        (("series", "--field", "3", "--x", "5*X"), "CoefficientOutOfRange"),
+        (("series", "--x", "X", "--y", "0", "--op", "div"), "DivisionByZero"),
+    ],
+    ids=[
+        "config-last-word", "config-missing", "transcript-missing", "t-zero",
+        "m-zero", "K-exps-word", "K-exps-fraction", "syntax", "coefficient",
+        "division-by-zero",
+    ],
+)
+def test_bad_input_exits_2_with_one_line_diagnostic(tmp_path, capsys, argv, error):
+    missing = str(tmp_path / "missing")
+    code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    diag = json.loads(err)
+    assert diag["error"] == error
+    if error in ("SeriesSyntaxError", "CoefficientOutOfRange"):
+        assert isinstance(diag["position"], int)
+
+
+def test_K_exps_value_may_start_with_a_dash(capsys):
+    argv = BOXCOUNT + ("--t", "3")
+    code, spaced, _ = run_cli(capsys, *argv, "--K-exps", "-10,-7,-4")
+    assert code == 0
+    code, glued, _ = run_cli(capsys, *argv, "--K-exps=-10,-7,-4")
+    assert code == 0
+    assert json.loads(spaced)["result"] == json.loads(glued)["result"]
+    assert [r["K_exp"] for r in json.loads(spaced)["result"]["rows"]][::3] == [
+        "-10", "-7", "-4",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--K-exps"])
+    assert exc.value.code == 2

@@ -397,7 +397,7 @@ def test_principal_minor_and_phi_cofactors():
 
 
 def test_literal_white_moves_satisfy_projection_bound():
-    cfg = StrategyConfig(F2, 1, 1, R_exp=2, height_cap_exp=4, mode="literal")
+    cfg = StrategyConfig(F2, 1, 1, R_exp=2, height_cap_exp=4)
     params = GameParams(Fraction(1, 4), Fraction(1, 2), F2)
     white = LiteralWhite(cfg)
     t = play(white, RandomBlack(3), unit_ball(F2, 1, 1), params, StopRule(max_rounds=16))
