@@ -165,11 +165,13 @@ def badness_constant(
             # dist must satisfy k^{hm} * dist^n < best
             need_below = (best / class_height**m).root(n)
         for q in iter_height_class(sys.spec, m, h):
-            seen += 1
-            if seen > budget:
+            if seen >= budget:
                 raise SearchBudgetExceeded(
-                    f"badness search enumerated more than {budget} vectors"
+                    f"badness search exceeded the budget of {budget} vectors"
+                    f" at height k^{h}",
+                    count=seen,
                 )
+            seen += 1
             dist = _dist_with_cutoff(q, A, need_below)
             if dist is None:
                 continue
@@ -287,9 +289,13 @@ def _dirichlet_pigeonhole(
     pool = list(iter_polys(spec, t))
     count = 0
     for q in itertools.product(pool, repeat=m):
+        if count >= budget:
+            raise SearchBudgetExceeded(
+                f"dirichlet enumeration exceeded the budget of {budget} vectors"
+                f" of height <= k^{t}",
+                count=count,
+            )
         count += 1
-        if count > budget:
-            raise SearchBudgetExceeded("dirichlet enumeration exceeded budget")
         key = _frac_window_key(q, sys.matrix, u)
         if key in buckets:
             other = buckets[key]

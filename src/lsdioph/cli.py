@@ -222,7 +222,10 @@ def _add_common(p):
     p.add_argument("--field", default="2", help="p, p^r, or p^r:modulus")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility; has no effect",
+    )
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument(
         "--no-timestamp", dest="timestamp", action="store_false", default=True
@@ -619,7 +622,6 @@ def _cmd_dim_boxcount(args):
             args.n,
             spec,
             budget=args.budget,
-            threads=args.threads,
         ):
             rows.append(
                 {

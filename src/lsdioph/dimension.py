@@ -20,7 +20,6 @@ from fractions import Fraction
 from .errors import BranchOutOfRange, SearchBudgetExceeded
 from .field import FieldSpec, Magnitude, floor_log
 from .game import GameTranscript
-from .series import LaurentSeries, vec_dot
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,6 @@ def box_count_bad(
     n: int,
     spec: FieldSpec,
     budget: int = 1 << 22,
-    threads: int = 1,
 ):
     """Per-resolution counts of cells of the unit polydisc containing at
     least one matrix whose badness score stays >= K for every vector under
@@ -188,7 +186,8 @@ def box_count_bad(
     A cell at resolution t is the coset fixing coefficients at exponents
     -1..-t; the survival condition only reads coefficients above a finite
     depth, so the count is exact.  K = 0 keeps every cell; K >= 1 kills
-    every cell (a Dirichlet-type witness always scores below 1).
+    every cell (a Dirichlet-type witness always scores below 1).  ``budget``
+    bounds the cells the prefix walk visits.
     """
     if t < 1 or m < 1 or n < 1:
         raise ValueError("t, m and n must be >= 1")
@@ -208,7 +207,7 @@ def box_count_bad(
         return [
             BoxCountRow(r, 2**r, 2**r - dead[r], k_base=2) for r in range(1, t + 1)
         ]
-    return _box_count_generic(K_exp, cap, t, m, n, spec, budget, threads)
+    return _box_count_walk(K_exp, cap, t, m, n, spec, budget)
 
 
 def _dead_prefix_counts_gf2(K_exp: int, cap: int, t: int):
@@ -271,96 +270,82 @@ def _dead_prefix_counts_gf2(K_exp: int, cap: int, t: int):
     return dead
 
 
-def _box_count_generic(K_exp, cap, t, m, n, spec, budget, threads=1):
+def _box_count_walk(K_exp, cap, t, m, n, spec, budget):
+    """Exact survivor counts by a depth-first walk over cell prefixes.
+
+    Level r fixes the X^-r coefficient of all mn entries, so for q of height
+    k^h the coefficient of (qA)_j at X^(h-r) becomes known at level r.  A
+    cell carries the vectors q whose known window coefficients all vanish
+    in every column: q kills the cell once its window theta_q..-1 is fully
+    known (r >= h - theta_q), and a cell that no q threatens keeps every
+    sub-cell.  For fixed q the killed matrices form an F_q-linear subspace,
+    and c*q kills the same one, so only one q per line is kept.
+    """
     from .approx import iter_height_class
 
     k = spec.k
     mn = m * n
-    depth = t
+    add = [[spec.add(a, b) for b in range(k)] for a in range(k)]
+    mul = [[spec.mul(a, b) for b in range(k)] for a in range(k)]
+    thetas = {h: -((h * m - K_exp) // n) for h in range(cap + 1)}  # ceil((K-hm)/n)
+    depth = max([t] + [h - theta for h, theta in thetas.items()])
+    # digits[i][j][s]: the X^-s coefficient of A_ij in the current cell
+    digits = [[[0] * (depth + 1) for _ in range(n)] for _ in range(m)]
     qs = []
-    for h in range(0, cap + 1):
+    for h, theta in thetas.items():
         for q in iter_height_class(spec, m, h):
-            theta = Fraction(K_exp - h * m, n)
-            need = h - math.floor(theta)  # window depth of q*A coefficients
-            qs.append((q, h, math.ceil(theta)))
-            depth = max(depth, need)
-    cells = k ** (depth * mn)
-    if cells > budget:
-        raise SearchBudgetExceeded(
-            f"{cells} cells at refinement depth {depth} exceed the budget"
-        )
-    coeff_space = list(itertools.product(range(k), repeat=depth))
-    if threads > 1 and len(coeff_space) >= threads:
-        from concurrent.futures import ProcessPoolExecutor
+            if next(p.coeffs[h] for p in q if p.degree == h) != 1:
+                continue  # a scalar multiple of a kept q
+            # column j: terms (digits of A_ij, h - d, q_i[d]) of (qA)_j
+            columns = [
+                [(digits[i][j], h - d, c) for i, p in enumerate(q)
+                 for d, c in enumerate(p.coeffs) if c]
+                for j in range(n)
+            ]
+            qs.append((h, theta, columns))
+    slots = [row[j] for row in digits for j in range(n)]
+    counts = [0] * (t + 1)
+    visited = 0
 
-        chunk = (len(coeff_space) + threads - 1) // threads
-        jobs = [
-            (coeff_space[i : i + chunk], coeff_space, K_exp, cap, t, m, n,
-             spec.p, spec.r, spec.modulus, depth)
-            for i in range(0, len(coeff_space), chunk)
-        ]
-        survivors = set()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(_survivor_chunk, jobs):
-                survivors.update(part)
-    else:
-        survivors = _survivor_chunk(
-            (coeff_space, coeff_space, K_exp, cap, t, m, n, spec.p, spec.r,
-             spec.modulus, depth)
-        )
-    rows = []
-    for r in range(1, t + 1):
-        prefixes = {tuple(c[:r] for c in combo) for combo in survivors}
-        rows.append(BoxCountRow(r, k ** (r * mn), len(prefixes), k_base=k))
-    return rows
+    def window_coeff(terms, r):
+        acc = 0
+        for entry, off, c in terms:
+            acc = add[acc][mul[c][entry[r - off]]]
+        return acc
 
+    def survives(r, live):
+        nonlocal visited
+        if visited >= budget:
+            raise SearchBudgetExceeded(
+                f"box count exceeded the budget of {budget} cells at resolution {r}",
+                count=visited,
+            )
+        visited += 1
+        threats = []
+        for q in live:
+            h, theta, columns = q
+            if theta <= h - r <= -1 and any(window_coeff(c, r) for c in columns):
+                continue
+            if r >= h - theta:
+                return False
+            threats.append(q)
+        if not threats:
+            for s in range(max(r, 1), t + 1):
+                counts[s] += k ** (mn * (s - r))
+            return True
+        alive = False
+        for child in itertools.product(range(k), repeat=mn):
+            for slot, c in zip(slots, child):
+                slot[r + 1] = c
+            if survives(r + 1, threats):
+                alive = True
+                if r >= t:
+                    break
+        if alive and 1 <= r <= t:
+            counts[r] += 1
+        return alive
 
-def _survivor_chunk(job):
-    """Enumerate the cells whose first coordinate lies in the given chunk;
-    the survivor set is order-independent, so chunks merge canonically."""
-    (first_space, coeff_space, K_exp, cap, t, m, n, p, r, modulus, depth) = job
-    from .approx import iter_height_class
-
-    spec = FieldSpec(p, r, modulus)
-    qs = []
-    for h in range(0, cap + 1):
-        for q in iter_height_class(spec, m, h):
-            theta = Fraction(K_exp - h * m, n)
-            qs.append((q, h, math.ceil(theta)))
-    mn = m * n
-    out = set()
-    for first in first_space:
-        for rest in itertools.product(coeff_space, repeat=mn - 1):
-            combo = (first,) + rest
-            A = _cell_matrix(combo, m, n, spec, depth)
-            if _cell_survives(A, qs, spec):
-                out.add(combo)
-    return out
-
-
-def _cell_matrix(combo, m, n, spec, depth):
-    from .series import SeriesMatrix
-
-    rows = []
-    idx = 0
-    for _i in range(m):
-        row = []
-        for _j in range(n):
-            coeffs = {-(d + 1): c for d, c in enumerate(combo[idx]) if c}
-            row.append(LaurentSeries(spec, coeffs))
-            idx += 1
-        rows.append(row)
-    return SeriesMatrix(spec, rows)
-
-
-def _cell_survives(A, qs, spec) -> bool:
-    for q, _h, theta_ceil in qs:
-        ok = False
-        for j in range(A.cols):
-            acc = vec_dot(q, A.col(j))
-            if any(theta_ceil <= e <= -1 and c for e, c in acc.coeffs.items()):
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    survives(0, qs)
+    return [
+        BoxCountRow(r, k ** (r * mn), counts[r], k_base=k) for r in range(1, t + 1)
+    ]

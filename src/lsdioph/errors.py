@@ -31,7 +31,12 @@ class CoefficientOutOfRange(ValueError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    pass
+    """An enumeration hit its budget; ``count`` is how many vectors or cells
+    it had enumerated."""
+
+    def __init__(self, message, count=None):
+        super().__init__(message)
+        self.count = count
 
 
 class SearchIncomplete(RuntimeError):

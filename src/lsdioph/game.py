@@ -176,16 +176,22 @@ class GameTranscript:
     @classmethod
     def from_jsonl(cls, text: str, validate: bool = True) -> "GameTranscript":
         lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+        if not lines:
+            raise ValueError("replay: empty transcript")
         header = lines[0]
+        _require_keys(header, ("field", "alpha", "beta"), "header record")
         spec = parse_field(header["field"])
         params = GameParams(
             Fraction(header["alpha"]), Fraction(header["beta"]), spec
         )
         t = cls(params)
-        for rec in lines[1:]:
-            if rec.get("type") == "forfeit":
+        for number, rec in enumerate(lines[1:], 2):
+            where = f"record {number}"
+            if isinstance(rec, dict) and rec.get("type") == "forfeit":
+                _require_keys(rec, ("player", "index"), where)
                 t.forfeit = IllegalMove(rec["player"], rec["index"])
                 continue
+            _require_keys(rec, ("center", "radius"), where)
             center = SeriesMatrix(
                 spec, [[parse_series(s, spec) for s in row] for row in rec["center"]]
             )
@@ -196,6 +202,14 @@ class GameTranscript:
                     raise ValueError(f"replay: illegal move at index {len(t.balls)}")
             t.balls.append(ball)
         return t
+
+
+def _require_keys(rec, keys, where: str):
+    if not isinstance(rec, dict):
+        raise ValueError(f"replay: {where} is not a JSON object")
+    missing = [key for key in keys if key not in rec]
+    if missing:
+        raise ValueError(f"replay: {where} lacks {', '.join(missing)}")
 
 
 def _field_flag(spec: FieldSpec) -> str:

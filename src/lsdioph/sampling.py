@@ -1,5 +1,5 @@
-"""Seeded random generators for series, matrices, balls, and orthonormal
-bases.  Everything takes an explicit ``random.Random`` so runs are
+"""Seeded random generators for polynomials, polynomial matrices, balls and
+orthonormal bases.  Everything takes an explicit ``random.Random`` so runs are
 reproducible from a single seed."""
 
 from __future__ import annotations
@@ -16,32 +16,6 @@ def random_poly(rng, spec: FieldSpec, max_deg: int, nonzero: bool = False) -> Po
         p = Poly(spec, coeffs)
         if not nonzero or not p.is_zero:
             return p
-
-
-def random_series(
-    rng, spec: FieldSpec, lead_hi: int, depth: int, truncated: bool = False
-) -> LaurentSeries:
-    """Exact finite-support series with exponents in (lead_hi - depth, lead_hi];
-    with ``truncated`` the precision floor is declared at the support floor."""
-    floor = lead_hi - depth + 1
-    coeffs = {e: rng.randrange(spec.k) for e in range(floor, lead_hi + 1)}
-    if all(c == 0 for c in coeffs.values()):
-        coeffs[lead_hi] = rng.randrange(1, spec.k)
-    if truncated:
-        return LaurentSeries(spec, coeffs, known_below=floor)
-    return LaurentSeries(spec, coeffs)
-
-
-def random_matrix(
-    rng, spec: FieldSpec, rows: int, cols: int, lead_hi: int, depth: int
-) -> SeriesMatrix:
-    return SeriesMatrix(
-        spec,
-        [
-            [random_series(rng, spec, lead_hi, depth) for _ in range(cols)]
-            for _ in range(rows)
-        ],
-    )
 
 
 def random_poly_matrix(rng, spec: FieldSpec, d: int, max_deg: int) -> SeriesMatrix:

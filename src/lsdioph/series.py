@@ -589,7 +589,7 @@ def mat_vec_mul(q, matrix: SeriesMatrix):
 def parse_series(text: str, spec: FieldSpec) -> LaurentSeries:
     f = spec
     coeffs: dict = {}
-    for chunk, offset in _split_terms(text):
+    for chunk, offset in _split_top(text, "+"):
         c, e = _parse_term(chunk, offset, spec)
         s = f.add(coeffs.get(e, 0), c)
         if s:
@@ -611,7 +611,8 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
     return Poly(spec, out)
 
 
-def _split_terms(text: str):
+def _split_top(text: str, sep: str):
+    """Split at ``sep`` outside parentheses, as (chunk, offset) pairs."""
     terms = []
     depth = 0
     start = 0
@@ -622,7 +623,7 @@ def _split_terms(text: str):
             depth -= 1
             if depth < 0:
                 raise SeriesSyntaxError("unbalanced parenthesis", i)
-        elif ch == "+" and depth == 0:
+        elif ch == sep and depth == 0:
             terms.append((text[start:i], start))
             start = i + 1
     if depth:
@@ -755,11 +756,15 @@ def parse_field(text: str) -> FieldSpec:
 
 
 def parse_matrix(text: str, spec: FieldSpec) -> SeriesMatrix:
-    """Rows separated by ";", entries within a row by ",". """
-    rows = []
-    for row_text in text.split(";"):
-        rows.append([parse_series(cell, spec) for cell in row_text.split(",")])
-    return SeriesMatrix(spec, rows)
+    """Rows separated by ";", entries within a row by ","; both only outside
+    the parentheses of extension-field coefficients."""
+    return SeriesMatrix(
+        spec,
+        [
+            [parse_series(cell, spec) for cell, _ in _split_top(row, ",")]
+            for row, _ in _split_top(text, ";")
+        ],
+    )
 
 
 def format_matrix(m: SeriesMatrix) -> str:

@@ -36,20 +36,14 @@ DANGER_BUDGET = 200_000
 @dataclass(frozen=True)
 class StrategyConfig:
     """Game-scale constants.  delta, delta*, and tau are derived, never
-    stored; K4..K7 are empirical slots fixed by ``calibrate_constants``
-    (the theory only asserts such constants exist)."""
+    stored; the empirical constants K4..K7 live in the ``CalibrationReport``
+    of ``calibrate_constants`` (the theory only asserts they exist)."""
 
     spec: FieldSpec
     m: int
     n: int
     R_exp: int = 2
     height_cap_exp: int = 4
-    # worst cases of `lsdioph calibrate constants` sweeps over
-    # (m, n) in {(1,1),(2,1),(1,2)} x k in {2,3}, seed 0
-    K4: Fraction = Fraction(1)
-    K5: Fraction = Fraction(1, 8)
-    K6: Fraction = Fraction(1, 4096)
-    K7: Fraction = Fraction(4)
 
     def __post_init__(self):
         if self.R_exp < 1:
@@ -201,9 +195,13 @@ def danger_set(
     for h in range(0, max_deg + 1):
         pert = Magnitude.power(k, h + e)
         for q_first in iter_height_class(spec, first, h):
+            if count >= budget:
+                raise SearchBudgetExceeded(
+                    f"danger enumeration exceeded the budget of {budget} vectors"
+                    f" at height k^{h}",
+                    count=count,
+                )
             count += 1
-            if count > budget:
-                raise SearchBudgetExceeded("danger enumeration exceeded budget")
             values = _block_values(C, kind, q_first)
             fractional = [v.frac_norm() for v in values]
             reachable = [

@@ -272,3 +272,63 @@ def test_K_exps_value_may_start_with_a_dash(capsys):
     with pytest.raises(SystemExit) as exc:
         main(list(argv) + ["--K-exps"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "replay: empty transcript"),
+        ('{"type": "header"}\n', "replay: header record lacks field, alpha, beta"),
+        ('{"alpha": "1/4", "beta": "1/2", "field": "2"}\n{"player": "black"}\n',
+         "replay: record 2 lacks center, radius"),
+    ],
+    ids=["empty", "header-keys-missing", "move-keys-missing"],
+)
+def test_malformed_transcript_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "certify", "--transcript", str(path), "--cap", "2", "--no-timestamp"
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_extension_field_matrix_is_accepted(capsys):
+    code, out, _ = run_cli(
+        capsys, "badness", "--field", "2^2", "--matrix", "(1,0)*X^-1", "--cap", "1",
+        "--no-timestamp",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["witness"]["q"] == ["(0,1)*X"]
+
+
+@pytest.mark.parametrize(
+    "argv, reached",
+    [
+        (("badness", "--matrix", "X^-1 + X^-2 + X^-4 + X^-7 + X^-11", "--cap", "6"),
+         "at height k^3"),
+        (BOXCOUNT + ("--m", "2", "--t", "3", "--K-exps=-4"), "at resolution"),
+    ],
+    ids=["badness", "boxcount"],
+)
+def test_budget_diagnostic_reports_how_far_the_search_got(capsys, argv, reached):
+    code, out, err = run_cli(capsys, *argv, "--budget", "10", "--no-timestamp")
+    assert code == 3
+    assert out == ""
+    diag = json.loads(err)
+    assert diag["error"] == "SearchBudgetExceeded"
+    assert diag["count"] == 10
+    assert reached in diag["message"]
+
+
+def test_boxcount_threads_flag_has_no_effect(capsys):
+    argv = ("dim", "boxcount", "--field", "3", "--t", "3", "--cap", "2",
+            "--K-exps=-2", "--no-timestamp")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, threaded, _ = run_cli(capsys, *argv, "--threads", "2")
+    assert code == 0
+    assert json.loads(threaded)["result"] == json.loads(plain)["result"]

@@ -1,11 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import lsdioph.dimension as dim
-from lsdioph.errors import BranchOutOfRange
+from lsdioph.approx import iter_height_class
+from lsdioph.errors import BranchOutOfRange, SearchBudgetExceeded
 from lsdioph.field import FieldSpec, Magnitude
 from lsdioph.game import (
     ConcentricStrategy,
@@ -14,7 +18,7 @@ from lsdioph.game import (
     play,
     unit_ball,
 )
-from lsdioph.series import LaurentSeries
+from lsdioph.series import LaurentSeries, SeriesMatrix, vec_dot
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -188,15 +192,119 @@ def test_box_count_monotone_in_K_and_cap():
     assert by_cap == sorted(by_cap, reverse=True)
 
 
+def oracle_depth(K_exp, cap, t, m, n):
+    """Refinement depth below which no window coefficient of qA looks."""
+    return max([t] + [h - math.floor(Fraction(K_exp - h * m, n)) for h in range(cap + 1)])
+
+
+def oracle_box_count(K_exp, cap, t, m, n, spec):
+    """The former exhaustive path: every cell at the oracle depth is tested
+    against every q under the cap, and the survivors' prefixes counted."""
+    depth = oracle_depth(K_exp, cap, t, m, n)
+    qs = [
+        (q, math.ceil(Fraction(K_exp - h * m, n)))
+        for h in range(cap + 1)
+        for q in iter_height_class(spec, m, h)
+    ]
+    coeff_space = list(itertools.product(range(spec.k), repeat=depth))
+    survivors = [
+        combo
+        for combo in itertools.product(coeff_space, repeat=m * n)
+        if oracle_cell_survives(oracle_cell_matrix(combo, m, n, spec), qs)
+    ]
+    return [
+        len({tuple(c[:r] for c in combo) for combo in survivors})
+        for r in range(1, t + 1)
+    ]
+
+
+def oracle_cell_matrix(combo, m, n, spec):
+    entries = iter(combo)
+    return SeriesMatrix(
+        spec,
+        [
+            [
+                LaurentSeries(spec, {-(d + 1): c for d, c in enumerate(next(entries)) if c})
+                for _j in range(n)
+            ]
+            for _i in range(m)
+        ],
+    )
+
+
+def oracle_cell_survives(A, qs):
+    for q, theta_ceil in qs:
+        if not any(
+            theta_ceil <= e <= -1 and c
+            for j in range(A.cols)
+            for e, c in vec_dot(q, A.col(j)).coeffs.items()
+        ):
+            return False
+    return True
+
+
+def surviving(rows):
+    return [r.cells_surviving for r in rows]
+
+
 def test_box_count_fast_path_matches_generic():
     for (K_exp, cap, t) in ((-4, 2, 4), (-6, 3, 5), (-5, 2, 3)):
         fast = dim.box_count_bad(
             Magnitude.power(2, K_exp), Magnitude.power(2, cap), t, 1, 1, F2
         )
-        slow = dim._box_count_generic(K_exp, cap, t, 1, 1, F2, 1 << 22)
-        assert [(r.resolution, r.cells_surviving) for r in fast] == [
-            (r.resolution, r.cells_surviving) for r in slow
-        ]
+        assert surviving(fast) == oracle_box_count(K_exp, cap, t, 1, 1, F2)
+
+
+BOX_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(3, 2)]
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(BOX_FIELDS),
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.integers(-5, 0),
+)
+# the generic box-count jobs of perfbench/workloads.py
+@example(FieldSpec(3), (1, 1), 3, 2, -2)
+@example(FieldSpec(2, 2), (1, 1), 3, 1, -3)
+@example(FieldSpec(2), (1, 2), 3, 2, -4)
+@example(FieldSpec(2), (2, 1), 2, 1, -3)
+def test_box_count_walk_matches_the_exhaustive_oracle(spec, shape, t, cap, K_exp):
+    m, n = shape
+    assume(spec.k ** (oracle_depth(K_exp, cap, t, m, n) * m * n) <= 5000)
+    rows = dim.box_count_bad(
+        Magnitude.power(spec.k, K_exp), Magnitude.power(spec.k, cap), t, m, n, spec
+    )
+    assert [r.cells_total for r in rows] == [spec.k ** (r * m * n) for r in range(1, t + 1)]
+    assert surviving(rows) == oracle_box_count(K_exp, cap, t, m, n, spec)
+
+
+def test_box_count_walk_matches_the_gf2_fast_path():
+    for t in range(1, 9):
+        for cap in range(5):
+            for K_exp in range(-9, 1):
+                dead = dim._dead_prefix_counts_gf2(K_exp, cap, t)
+                walk = dim._box_count_walk(K_exp, cap, t, 1, 1, F2, 1 << 20)
+                assert surviving(walk) == [2**r - dead[r] for r in range(1, t + 1)]
+
+
+def test_box_count_roadmap_case_finishes():
+    """(m, n) = (2, 1), t = 3, cap 2, K = 2^-4: 2^20 cells for the oracle."""
+    rows = dim.box_count_bad(
+        Magnitude.power(2, -4), Magnitude.power(2, 2), 3, 2, 1, F2
+    )
+    assert surviving(rows) == [4, 16, 63]
+
+
+def test_box_count_budget_bounds_the_cells_visited():
+    with pytest.raises(SearchBudgetExceeded) as err:
+        dim.box_count_bad(
+            Magnitude.power(2, -4), Magnitude.power(2, 2), 3, 2, 1, F2, budget=10
+        )
+    assert err.value.count == 10
+    assert "resolution" in str(err.value)
 
 
 def test_box_count_generic_other_field():
@@ -205,18 +313,6 @@ def test_box_count_generic_other_field():
     )
     assert rows[0].cells_total == 3
     assert 0 <= rows[-1].cells_surviving <= rows[-1].cells_total
-
-
-def test_box_count_threaded_matches_serial():
-    serial = dim.box_count_bad(
-        Magnitude.power(3, -3), Magnitude.power(3, 1), 2, 1, 1, F3, threads=1
-    )
-    parallel = dim.box_count_bad(
-        Magnitude.power(3, -3), Magnitude.power(3, 1), 2, 1, 1, F3, threads=2
-    )
-    assert [(r.resolution, r.cells_surviving) for r in serial] == [
-        (r.resolution, r.cells_surviving) for r in parallel
-    ]
 
 
 def test_box_count_counts_are_prefix_consistent():

@@ -14,9 +14,7 @@ from lsdioph.series import LaurentSeries, RationalFn, SeriesMatrix, mat_vec_mul,
 FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(3, 2)]
 F2 = FIELDS[0]
 
-SETTINGS = settings(
-    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
-)
+SETTINGS = settings(max_examples=150, suppress_health_check=[HealthCheck.too_slow])
 
 
 def inline_loop(q, column):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lsdioph.errors import (
     CoefficientOutOfRange,
@@ -13,9 +15,11 @@ from lsdioph.series import (
     LaurentSeries,
     RationalFn,
     SeriesMatrix,
+    format_matrix,
     format_series,
     lattice_distance,
     parse_field,
+    parse_matrix,
     parse_poly,
     parse_series,
     vec_height,
@@ -251,3 +255,20 @@ def test_matrix_basics():
     assert t.shape == (2, 1)
     diff = m - m
     assert all(x.is_zero for row in diff.entries for x in row)
+
+
+@st.composite
+def series_matrices(draw):
+    spec = draw(st.sampled_from([F4, FieldSpec(3, 2)]))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.dictionaries(
+        st.integers(-5, 3), st.integers(0, spec.k - 1), max_size=4
+    ).map(lambda c: LaurentSeries(spec, c))
+    return SeriesMatrix(
+        spec, [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    )
+
+
+@given(series_matrices())
+def test_format_parse_matrix_round_trip_extension_fields(m):
+    assert parse_matrix(format_matrix(m), m.spec) == m
