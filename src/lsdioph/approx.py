@@ -243,12 +243,8 @@ def _dirichlet_cf(sys: LinearFormSystem, t: int) -> ApproxWitness:
     """Largest convergent denominator of height <= k^t is the witness."""
     x = sys.matrix.entry(0, 0)
     spec = sys.spec
-    if isinstance(x, LaurentSeries) and x.is_exact and not x.is_zero:
-        low = min(x.coeffs)
-        if low < 0:
-            x = RationalFn(x.shift(-low).polynomial_part(), Poly.monomial(spec, 1, -low))
-        else:
-            x = RationalFn.from_poly(x.polynomial_part())
+    if isinstance(x, LaurentSeries) and x.is_exact:
+        x = RationalFn.from_series_exact(x)
     q_prev, q_cur = Poly.zero(spec), Poly.one(spec)  # q_{-1}, q_0
     rem = x
     consumed_a0 = False
@@ -369,16 +365,11 @@ def cf_expand(x, max_terms: int) -> ContinuedFraction:
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
-    if isinstance(x, RationalFn):
-        return _cf_rational(x.num, x.den, max_terms)
-    if x.is_exact:
-        low = 0 if x.is_zero else min(x.coeffs)
-        if low >= 0:
-            return ContinuedFraction((x.polynomial_part(),), True)
-        num = x.shift(-low).polynomial_part()
-        den = Poly.monomial(x.spec, 1, -low)
-        return _cf_rational(num, den, max_terms)
-    return _cf_series(x, max_terms)
+    if not isinstance(x, RationalFn):
+        if not x.is_exact:
+            return _cf_series(x, max_terms)
+        x = RationalFn.from_series_exact(x)
+    return _cf_rational(x.num, x.den, max_terms)
 
 
 def cf_expand_rational(num: Poly, den: Poly, max_terms: int = 10**9) -> ContinuedFraction:

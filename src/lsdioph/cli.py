@@ -24,6 +24,7 @@ from . import dimension as dim
 from . import strategy as strat
 from .approx import (
     LinearFormSystem,
+    _exp_or_none,
     badness_constant,
     cf_convergents,
     cf_expand,
@@ -211,13 +212,6 @@ def _emit_diagnostic(exc, extra=None):
     print(json.dumps(diag, sort_keys=True, default=str), file=sys.stderr)
 
 
-def _mag_exp(mag: Magnitude):
-    if mag.is_zero:
-        return None
-    e = mag.exponent()
-    return int(e) if e.denominator == 1 else str(e)
-
-
 def _add_common(p):
     p.add_argument("--field", default="2", help="p, p^r, or p^r:modulus")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -378,7 +372,7 @@ def _build_parser():
 def _cmd_series(args):
     spec = parse_field(args.field)
     x = parse_series(args.x, spec)
-    result = {"x": format_series(x), "x_norm_exp": _mag_exp(x.norm())}
+    result = {"x": format_series(x), "x_norm_exp": _exp_or_none(x.norm())}
     if args.y is not None:
         y = parse_series(args.y, spec)
         if args.op == "add":
@@ -394,7 +388,7 @@ def _cmd_series(args):
                 "y": format_series(y),
                 "op": args.op,
                 "value": format_series(z),
-                "value_norm_exp": _mag_exp(z.norm()),
+                "value_norm_exp": _exp_or_none(z.norm()),
                 "value_known_below": z.known_below,
             }
         )
@@ -402,7 +396,7 @@ def _cmd_series(args):
         result.update(
             {
                 "poly_part": str(x.polynomial_part()),
-                "frac_norm_exp": _mag_exp(x.frac_norm()),
+                "frac_norm_exp": _exp_or_none(x.frac_norm()),
             }
         )
     return result
@@ -454,7 +448,7 @@ def _cmd_badness(args):
         sys_, Magnitude.power(spec.k, args.cap), budget=args.budget
     )
     return {
-        "K_exp": _mag_exp(K),
+        "K_exp": _exp_or_none(K),
         "witness": witness.to_json(),
         "cap_exp": args.cap,
         "m": sys_.m,
@@ -686,7 +680,7 @@ def _cmd_calibrate_dirichlet(args):
         "t": t,
         "grid_depth": args.grid_depth,
         "matrices_checked": checked,
-        "worst_dist_exp": _mag_exp(worst) if worst is not None else None,
+        "worst_dist_exp": _exp_or_none(worst) if worst is not None else None,
         "c0": c0,
         "provenance": "exhaustive grid oracle",
     }

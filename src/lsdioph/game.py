@@ -28,6 +28,8 @@ from .series import (
     parse_series,
 )
 
+RANDOM_BLACK_DEPTH = 2
+
 
 @dataclass(frozen=True)
 class FormalBall:
@@ -174,7 +176,8 @@ class GameTranscript:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_jsonl(cls, text: str, validate: bool = True) -> "GameTranscript":
+    def from_jsonl(cls, text: str) -> "GameTranscript":
+        """Replay a transcript, checking that every move it reads is legal."""
         lines = [json.loads(line) for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("replay: empty transcript")
@@ -196,7 +199,7 @@ class GameTranscript:
                 spec, [[parse_series(s, spec) for s in row] for row in rec["center"]]
             )
             ball = FormalBall(center, Fraction(rec["radius"]))
-            if validate and t.balls:
+            if t.balls:
                 ratio = params.alpha if t.player_at(len(t.balls)) == "white" else params.beta
                 if not validate_move(t.balls[-1], ball, ratio):
                     raise ValueError(f"replay: illegal move at index {len(t.balls)}")
@@ -316,15 +319,15 @@ def legal_center_shift_exponent(prev: FormalBall, ratio: Fraction) -> int:
 
 
 class RandomBlack:
-    """Recenter by random coefficients on the legal k-grid."""
+    """Recenter by random coefficients on the legal k-grid, at the top
+    ``RANDOM_BLACK_DEPTH`` exponents of the legal shift."""
 
     name = "black-random"
 
-    def __init__(self, seed: int, depth: int = 2):
+    def __init__(self, seed: int):
         import random
 
         self.rng = random.Random(seed)
-        self.depth = depth
 
     def propose(self, t: GameTranscript) -> FormalBall:
         prev = t.last()
@@ -336,7 +339,7 @@ class RandomBlack:
             out = []
             for x in row:
                 delta = {
-                    g - i: self.rng.randrange(spec.k) for i in range(self.depth)
+                    g - i: self.rng.randrange(spec.k) for i in range(RANDOM_BLACK_DEPTH)
                 }
                 out.append(x + LaurentSeries(spec, delta))
             rows.append(out)

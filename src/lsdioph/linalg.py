@@ -146,30 +146,10 @@ def fq_nullspace(rows, ncols: int, spec: FieldSpec):
 def series_vec_rank_at_zero(vectors, spec: FieldSpec) -> int:
     """Rank over F_q of the exponent-0 coefficient vectors (used to verify
     ultrametric orthonormality)."""
+    if not vectors:
+        return 0
     rows = [[x.coeffs.get(0, 0) for x in v] for v in vectors]
-    return _fq_rank(rows, spec)
-
-
-def _fq_rank(rows, spec: FieldSpec) -> int:
-    mat = [list(r) for r in rows if any(r)]
-    rank = 0
-    col = 0
-    width = len(rows[0]) if rows else 0
-    while mat and col < width:
-        pivot = next((i for i, r in enumerate(mat) if r[col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        prow = mat.pop(pivot)
-        inv = spec.inv(prow[col])
-        prow = [spec.mul(inv, v) for v in prow]
-        rank += 1
-        mat = [
-            [spec.sub(a, spec.mul(r[col], b)) for a, b in zip(r, prow)] if r[col] else r
-            for r in mat
-        ]
-        col += 1
-    return rank
+    return len(rows[0]) - len(fq_nullspace(rows, len(rows[0]), spec))
 
 
 def mat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:

@@ -31,6 +31,9 @@ from .linalg import det_entries, poly_rank, series_vec_rank_at_zero
 from .series import LaurentSeries, SeriesMatrix, vec_dot
 
 DANGER_BUDGET = 200_000
+TAIL_VARIANT_BUDGET = 64
+# levels White defends beyond the last marker level Black's radius has passed
+LOOKAHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,15 @@ class StrategyConfig:
             return -self.R_exp * (self.m + self.d * i)
         return -self.R_exp * self.d * (1 + i)
 
+    def marker_level(self, kind: str, radius) -> int:
+        """Number of levels whose marker threshold lies above ``radius``:
+        the count of i >= 0 with radius < k^marker_exponent(kind, i)."""
+        fl = floor_log(radius, self.spec.k)
+        step = self.R_exp * self.d
+        if kind == "k":
+            return max(0, -((fl + self.R_exp * self.m) // step))
+        return max(0, -(fl // step) - 1)
+
     def window_exponent(self, kind: str, i: int) -> Fraction:
         if kind == "k":
             return self.delta_exp + self.R_exp * self.n * (self.tau + i)
@@ -104,19 +116,13 @@ class MarkerSchedule:
 
 
 def schedule_markers(t: GameTranscript, cfg: StrategyConfig) -> MarkerSchedule:
-    k = cfg.spec.k
-    black = [(i, b) for i, b in enumerate(t.balls) if i % 2 == 0]
     out = {}
     for kind in ("k", "h"):
         found = []
-        level = 0
-        while True:
-            thr = Magnitude.power(k, cfg.marker_exponent(kind, level)).as_fraction()
-            idx = next((i for i, b in black if b.radius < thr), None)
-            if idx is None:
-                break
-            found.append(idx)
-            level += 1
+        for i, b in enumerate(t.balls):
+            if i % 2 == 0:
+                # the first Black ball past level j's threshold marks level j
+                found.extend([i] * (cfg.marker_level(kind, b.radius) - len(found)))
         out[kind] = tuple(found)
     return MarkerSchedule(out["k"], out["h"])
 
@@ -169,8 +175,6 @@ def danger_set(
     kind: str,
     cfg: StrategyConfig,
     height_cap: Magnitude | None = None,
-    budget: int = DANGER_BUDGET,
-    tail_variant_budget: int = 64,
 ) -> DangerReport:
     """All lattice vectors in the level-i height window for which some matrix
     in the (canonicalized) ball satisfies the value inequality.
@@ -195,9 +199,9 @@ def danger_set(
     for h in range(0, max_deg + 1):
         pert = Magnitude.power(k, h + e)
         for q_first in iter_height_class(spec, first, h):
-            if count >= budget:
+            if count >= DANGER_BUDGET:
                 raise SearchBudgetExceeded(
-                    f"danger enumeration exceeded the budget of {budget} vectors"
+                    f"danger enumeration exceeded the budget of {DANGER_BUDGET} vectors"
                     f" at height k^{h}",
                     count=count,
                 )
@@ -213,15 +217,13 @@ def danger_set(
             solutions.append(tuple(q_first) + tuple(tails))
             if pert >= Magnitude.power(k, 0):
                 solutions.extend(
-                    _tail_variants(
-                        q_first, values, tails, pert, thr, spec, tail_variant_budget
-                    )
+                    _tail_variants(q_first, values, tails, pert, thr, spec)
                 )
     rank = poly_rank(solutions, spec) if solutions else 0
     return DangerReport(i, kind, tuple(solutions), rank)
 
 
-def _tail_variants(q_first, values, tails, pert, thr, spec, budget):
+def _tail_variants(q_first, values, tails, pert, thr, spec):
     """When the perturbation allowance reaches height 1, nearby lattice tails
     also solve the inequality; enumerate them within a budget."""
     out = []
@@ -243,7 +245,7 @@ def _tail_variants(q_first, values, tails, pert, thr, spec, budget):
                 break
         if ok:
             out.append(tuple(q_first) + tuple(t + s for t, s in zip(tails, combo)))
-        if len(out) >= budget:
+        if len(out) >= TAIL_VARIANT_BUDGET:
             break
     return out
 
@@ -506,50 +508,65 @@ class AvoidanceWhite:
 
     name = "white-avoid"
 
-    def __init__(self, cfg: StrategyConfig, lookahead: int = 2):
+    def __init__(self, cfg: StrategyConfig):
         self.cfg = cfg
-        self.lookahead = lookahead
-        self._values = {}  # (kind, q-key) -> list of block-value series
-        self._qvecs = {}
-        self._safe_from = {}  # (kind, q-key) -> level pinned safe
-        self._last_center = None
+        self._live = {}  # (kind, h) -> first blocks of height k^h not yet pinned safe
         self.dodges = 0
 
     def active_dangers(self, t: GameTranscript):
-        """Danger vectors visible from the current ball (advances the
-        incremental value cache)."""
+        """Danger vectors of the current ball as ``(kind, q_first, h, block
+        values at the center, threshold exponent)``, each once, at the lowest
+        level whose window admits its height: thresholds fall as levels rise,
+        so that level decides the test and gives the smallest margin.  A
+        vector with a value above both the threshold and the perturbation
+        allowance is pinned safe for the rest of the game: those value
+        coefficients lie above the radius, and the allowance only shrinks."""
+        cfg = self.cfg
+        spec = cfg.spec
+        k = spec.k
         prev = t.last()
-        canonical = canonicalize(prev)
-        self._advance_cache(canonical.center)
-        e_sub = floor_log(t.params.alpha * prev.radius, self.cfg.spec.k)
-        return canonical, e_sub, self._collect_dangers(t, canonical, e_sub)
+        e = prev.effective_exponent()
+        radius = min(b.radius for b in t.black_balls())
+        out = []
+        for kind in ("k", "h"):
+            lo = 0
+            for i in range(cfg.marker_level(kind, radius) + LOOKAHEAD + 1):
+                window = cfg.window_exponent(kind, i)
+                top = min(_ceil_minus_one(window), cfg.height_cap_exp)
+                thr_exp = cfg.threshold_exponent(kind, i)
+                thr = Magnitude(k, thr_exp)
+                for h in range(lo, top + 1):
+                    if (kind, h) not in self._live:
+                        self._live[(kind, h)] = list(
+                            iter_height_class(spec, cfg.first_block(kind), h)
+                        )
+                    pert = Magnitude.power(k, h + e)
+                    live = []
+                    for q_first in self._live[(kind, h)]:
+                        values = _block_values(prev.center, kind, q_first)
+                        fracs = [v.frac_norm() for v in values]
+                        if any(f > pert and f >= thr for f in fracs):
+                            continue
+                        live.append(q_first)
+                        out.append((kind, q_first, h, values, thr_exp))
+                    self._live[(kind, h)] = live
+                lo = max(lo, top + 1)
+        return out
 
     def propose(self, t: GameTranscript) -> FormalBall:
         cfg = self.cfg
         prev = t.last()
         alpha = t.params.alpha
         spec = cfg.spec
-        canonical, e_sub, dangers = self.active_dangers(t)
+        dangers = self.active_dangers(t)
         if not dangers:
             return FormalBall(prev.center, alpha * prev.radius)
         g = legal_center_shift_exponent(prev, alpha)
-        # the true proposal keeps center coefficients the canonical form drops
-        residual = prev.center - canonical.center
-        res_shifts = {}
-        for kind, _level, key, _thr in dangers:
-            if (kind, key) not in res_shifts:
-                res_shifts[(kind, key)] = _block_values(
-                    residual, kind, self._qvecs[(kind, key)]
-                )
+        e_sub = floor_log(alpha * prev.radius, spec.k)
         best = None
         for delta_pat in self._candidate_patterns():
             shift = _pattern_matrix(spec, cfg.m, cfg.n, delta_pat, g)
-            margin = None
-            for kind, level, key, thr_exp in dangers:
-                m_d = self._margin(
-                    kind, key, shift, e_sub, thr_exp, res_shifts[(kind, key)]
-                )
-                margin = m_d if margin is None else min(margin, m_d)
+            margin = min(self._margin(shift, e_sub, *danger) for danger in dangers)
             if best is None or margin > best[0]:
                 best = (margin, delta_pat, shift)
         _, pat, shift = best
@@ -568,96 +585,19 @@ class AvoidanceWhite:
         pats.extend(_single_entry_patterns(spec, cells))
         return pats
 
-    # -- danger bookkeeping ---------------------------------------------------
-
-    def _advance_cache(self, center: SeriesMatrix):
-        if self._last_center is None:
-            self._last_center = center
-            return
-        if center == self._last_center:
-            return
-        delta = center - self._last_center
-        if any(not x.is_zero for row in delta.entries for x in row):
-            for (kind, key), values in self._values.items():
-                q_first = self._qvecs[(kind, key)]
-                shift = _block_values(delta, kind, q_first)
-                self._values[(kind, key)] = [a + b for a, b in zip(values, shift)]
-        self._last_center = center
-
-    def _next_level(self, t: GameTranscript, kind: str) -> int:
-        k = self.cfg.spec.k
-        radii = [b.radius for b in t.black_balls()]
-        i = 0
-        while any(
-            r < Magnitude.power(k, self.cfg.marker_exponent(kind, i)).as_fraction()
-            for r in radii
-        ):
-            i += 1
-            if i > 128:
-                break
-        return i
-
-    def _collect_dangers(self, t, canonical: FormalBall, e_sub: int):
-        cfg = self.cfg
-        spec = cfg.spec
-        k = spec.k
-        e = canonical.effective_exponent()
-        out = []
-        for kind in ("k", "h"):
-            hi = self._next_level(t, kind) + self.lookahead
-            for i in range(hi + 1):
-                window = cfg.window_exponent(kind, i)
-                max_deg = _ceil_minus_one(window)
-                max_deg = min(max_deg, cfg.height_cap_exp)
-                if max_deg < 0:
-                    continue
-                thr_exp = cfg.threshold_exponent(kind, i)
-                thr = Magnitude(k, thr_exp)
-                for h in range(0, max_deg + 1):
-                    pert = Magnitude.power(k, h + e)
-                    for q_first in iter_height_class(spec, cfg.first_block(kind), h):
-                        key = tuple(p.coeffs for p in q_first)
-                        pinned = self._safe_from.get((kind, key))
-                        if pinned is not None and i >= pinned:
-                            continue
-                        values = self._value_of(kind, key, q_first, canonical.center)
-                        fracs = [v.frac_norm() for v in values]
-                        if any(f > pert and f >= thr for f in fracs):
-                            # value pinned above every later threshold: the
-                            # perturbation allowance only shrinks from here
-                            if pinned is None or pinned > i:
-                                self._safe_from[(kind, key)] = i
-                            continue
-                        if all(f <= pert or f < thr for f in fracs):
-                            out.append((kind, i, key, thr_exp))
-        return out
-
-    def _value_of(self, kind, key, q_first, center):
-        cached = self._values.get((kind, key))
-        if cached is None:
-            cached = _block_values(center, kind, q_first)
-            self._values[(kind, key)] = cached
-            self._qvecs[(kind, key)] = q_first
-        return cached
-
-    def _margin(self, kind, key, shift, e_sub, thr_exp, res_shift):
+    def _margin(self, shift, e_sub, kind, q_first, h, values, thr_exp):
         """Worst-case violation margin of the danger on the sub-ball moved
         by the candidate ``shift`` matrix (in k-exponents; higher is safer,
         None-like floor is represented by a large negative number)."""
-        cfg = self.cfg
-        spec = cfg.spec
-        q_first = self._qvecs[(kind, key)]
-        h = max(p.degree for p in q_first if not p.is_zero)
-        pert = Magnitude.power(spec.k, h + e_sub)
-        base_values = self._values[(kind, key)]
+        k = self.cfg.spec.k
+        pert = Magnitude.power(k, h + e_sub)
         moved = _block_values(shift, kind, q_first)
         best = Fraction(-(10**9))
-        for v, s, r in zip(base_values, moved, res_shift):
-            f = (v + r + s).frac_norm()
-            reach = Magnitude.zero(spec.k) if f <= pert else f
-            if reach.is_zero:
+        for v, s in zip(values, moved):
+            f = (v + s).frac_norm()
+            if f <= pert:
                 continue
-            best = max(best, reach.exponent() - thr_exp)
+            best = max(best, f.exponent() - thr_exp)
         return best
 
 
@@ -670,11 +610,11 @@ class LiteralWhite:
 
     name = "white-literal"
 
-    def __init__(self, cfg: StrategyConfig, lookahead: int = 2):
+    def __init__(self, cfg: StrategyConfig):
         self.cfg = cfg
         self.anchor = None
         self.hold = 0
-        self._avoid = AvoidanceWhite(cfg, lookahead)
+        self._avoid = AvoidanceWhite(cfg)
 
     @staticmethod
     def anchor_rounds(params) -> int:
@@ -696,15 +636,14 @@ class LiteralWhite:
         prev = t.last()
         alpha = t.params.alpha
         spec = cfg.spec
-        canonical, _e_sub, dangers = self._avoid.active_dangers(t)
-        if not dangers:
+        if not self._avoid.active_dangers(t):
             # no hypothetical bad matrix to refute: the anchored maneuver is
             # only engaged inside a danger episode
             self.anchor = None
             self.hold = 0
             return FormalBall(prev.center, alpha * prev.radius)
         if self.anchor is None or self.hold <= 0:
-            self.anchor = self._compute_anchor(t, canonical)
+            self.anchor = self._compute_anchor(t)
             self.hold = self.anchor_rounds(t.params)
         if self.anchor is None:
             return self._avoid.propose(t)
@@ -727,8 +666,9 @@ class LiteralWhite:
             raise NoLegalCenter("k-grid exhausted below the projection bound")
         return ball
 
-    def _compute_anchor(self, t: GameTranscript, canonical: FormalBall):
+    def _compute_anchor(self, t: GameTranscript):
         cfg = self.cfg
+        canonical = canonicalize(t.last())
         basis = self._danger_basis(t, canonical)
         grad = discrete_gradient(canonical.center, basis, cfg.m)
         if all(x.is_zero for x in grad):
@@ -737,7 +677,7 @@ class LiteralWhite:
 
     def _danger_basis(self, t, canonical):
         cfg = self.cfg
-        level = self._avoid._next_level(t, "h")
+        level = cfg.marker_level("h", min(b.radius for b in t.black_balls()))
         report = danger_set(
             canonical,
             level,

@@ -1,0 +1,36 @@
+"""The first round of the benchmark's seed-0 jobs, run and checked the way
+`perfbench/run.py` does it: every job's output passes its closed-form check
+and its result digest matches the one recorded in `perfbench/digests.json`,
+so a change to any `result` payload fails here, not only in a full
+benchmark run."""
+
+import json
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import run  # noqa: E402  (needs PERFBENCH on sys.path)
+import workloads  # noqa: E402
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+def test_first_round_matches_the_recorded_digests(workload, tmp_path, monkeypatch):
+    # game jobs write their transcript to a relative path: keep it out of the checkout
+    monkeypatch.chdir(tmp_path)
+    os.makedirs(os.path.dirname(workloads.TRANSCRIPT), exist_ok=True)
+    with open(run.DIGESTS) as fh:
+        recorded = json.load(fh)[workload]
+    cli = run.import_program()
+    jobs = workloads.make_round(workload, run.DEFAULT_SEED, 0)
+    got = []
+    for job in jobs:
+        _latency, outputs, error = run.run_job(cli, job)
+        assert error is None, f"{job.kind}: {error}"
+        got.append(run.check_job(job, outputs))
+    assert got == recorded[: len(jobs)]

@@ -1,18 +1,24 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lsdioph.approx import LinearFormSystem
-from lsdioph.errors import CounterexampleFound
+from lsdioph.approx import LinearFormSystem, iter_height_class
+from lsdioph.errors import CounterexampleFound, NoLegalCenter
 from lsdioph.field import FieldSpec, Magnitude, Poly, floor_log
 from lsdioph.game import (
     ConcentricStrategy,
     FormalBall,
     GameParams,
+    GameTranscript,
     RandomBlack,
     StopRule,
+    canonicalize,
     formal_contains,
+    legal_center_shift_exponent,
     play,
     unit_ball,
 )
@@ -27,6 +33,10 @@ from lsdioph.series import (
 )
 from lsdioph.strategy import (
     AvoidanceWhite,
+    _block_values,
+    _ceil_minus_one,
+    _pattern_matrix,
+    _single_entry_patterns,
     LiteralWhite,
     StrategyConfig,
     calibrate_constants,
@@ -618,3 +628,396 @@ def test_calibrate_constants_reports():
     assert report.K4 > 0 and report.K5 > 0 and report.K6 > 0 and report.K7 > 0
     js = report.to_json()
     assert js["provenance"].startswith("empirical")
+
+
+# ---------------------------------------------------------------------------
+# Differential tests of White's danger bookkeeping
+# ---------------------------------------------------------------------------
+#
+# The oracles below are the strategies as they were before the danger scan
+# tested each vector once, at its lowest admitting level: an incremental
+# value cache over canonical centers, per-level safety pins and a marker
+# rescan of every Black radius on every move.
+
+
+class OracleAvoidanceWhite:
+    """Dodge every danger vector visible under the height cap: among the
+    legal sub-ball centers on the k-grid, pick the one maximizing the worst
+    violation margin of the level inequalities.  Empty danger set means a
+    concentric shrink."""
+
+    name = "white-avoid"
+
+    def __init__(self, cfg: StrategyConfig, lookahead: int = 2):
+        self.cfg = cfg
+        self.lookahead = lookahead
+        self._values = {}  # (kind, q-key) -> list of block-value series
+        self._qvecs = {}
+        self._safe_from = {}  # (kind, q-key) -> level pinned safe
+        self._last_center = None
+        self.dodges = 0
+
+    def active_dangers(self, t: GameTranscript):
+        """Danger vectors visible from the current ball (advances the
+        incremental value cache)."""
+        prev = t.last()
+        canonical = canonicalize(prev)
+        self._advance_cache(canonical.center)
+        e_sub = floor_log(t.params.alpha * prev.radius, self.cfg.spec.k)
+        return canonical, e_sub, self._collect_dangers(t, canonical, e_sub)
+
+    def propose(self, t: GameTranscript) -> FormalBall:
+        cfg = self.cfg
+        prev = t.last()
+        alpha = t.params.alpha
+        spec = cfg.spec
+        canonical, e_sub, dangers = self.active_dangers(t)
+        if not dangers:
+            return FormalBall(prev.center, alpha * prev.radius)
+        g = legal_center_shift_exponent(prev, alpha)
+        # the true proposal keeps center coefficients the canonical form drops
+        residual = prev.center - canonical.center
+        res_shifts = {}
+        for kind, _level, key, _thr in dangers:
+            if (kind, key) not in res_shifts:
+                res_shifts[(kind, key)] = _block_values(
+                    residual, kind, self._qvecs[(kind, key)]
+                )
+        best = None
+        for delta_pat in self._candidate_patterns():
+            shift = _pattern_matrix(spec, cfg.m, cfg.n, delta_pat, g)
+            margin = None
+            for kind, level, key, thr_exp in dangers:
+                m_d = self._margin(
+                    kind, key, shift, e_sub, thr_exp, res_shifts[(kind, key)]
+                )
+                margin = m_d if margin is None else min(margin, m_d)
+            if best is None or margin > best[0]:
+                best = (margin, delta_pat, shift)
+        _, pat, shift = best
+        if any(pat):
+            self.dodges += 1
+        return FormalBall(prev.center + shift, alpha * prev.radius)
+
+    # -- candidate grid ------------------------------------------------------
+
+    def _candidate_patterns(self):
+        spec = self.cfg.spec
+        cells = self.cfg.m * self.cfg.n
+        if spec.k**cells <= 81:
+            return list(itertools.product(spec.elements(), repeat=cells))
+        pats = [tuple([0] * cells)]
+        pats.extend(_single_entry_patterns(spec, cells))
+        return pats
+
+    # -- danger bookkeeping ---------------------------------------------------
+
+    def _advance_cache(self, center: SeriesMatrix):
+        if self._last_center is None:
+            self._last_center = center
+            return
+        if center == self._last_center:
+            return
+        delta = center - self._last_center
+        if any(not x.is_zero for row in delta.entries for x in row):
+            for (kind, key), values in self._values.items():
+                q_first = self._qvecs[(kind, key)]
+                shift = _block_values(delta, kind, q_first)
+                self._values[(kind, key)] = [a + b for a, b in zip(values, shift)]
+        self._last_center = center
+
+    def _next_level(self, t: GameTranscript, kind: str) -> int:
+        k = self.cfg.spec.k
+        radii = [b.radius for b in t.black_balls()]
+        i = 0
+        while any(
+            r < Magnitude.power(k, self.cfg.marker_exponent(kind, i)).as_fraction()
+            for r in radii
+        ):
+            i += 1
+            if i > 128:
+                break
+        return i
+
+    def _collect_dangers(self, t, canonical: FormalBall, e_sub: int):
+        cfg = self.cfg
+        spec = cfg.spec
+        k = spec.k
+        e = canonical.effective_exponent()
+        out = []
+        for kind in ("k", "h"):
+            hi = self._next_level(t, kind) + self.lookahead
+            for i in range(hi + 1):
+                window = cfg.window_exponent(kind, i)
+                max_deg = _ceil_minus_one(window)
+                max_deg = min(max_deg, cfg.height_cap_exp)
+                if max_deg < 0:
+                    continue
+                thr_exp = cfg.threshold_exponent(kind, i)
+                thr = Magnitude(k, thr_exp)
+                for h in range(0, max_deg + 1):
+                    pert = Magnitude.power(k, h + e)
+                    for q_first in iter_height_class(spec, cfg.first_block(kind), h):
+                        key = tuple(p.coeffs for p in q_first)
+                        pinned = self._safe_from.get((kind, key))
+                        if pinned is not None and i >= pinned:
+                            continue
+                        values = self._value_of(kind, key, q_first, canonical.center)
+                        fracs = [v.frac_norm() for v in values]
+                        if any(f > pert and f >= thr for f in fracs):
+                            # value pinned above every later threshold: the
+                            # perturbation allowance only shrinks from here
+                            if pinned is None or pinned > i:
+                                self._safe_from[(kind, key)] = i
+                            continue
+                        if all(f <= pert or f < thr for f in fracs):
+                            out.append((kind, i, key, thr_exp))
+        return out
+
+    def _value_of(self, kind, key, q_first, center):
+        cached = self._values.get((kind, key))
+        if cached is None:
+            cached = _block_values(center, kind, q_first)
+            self._values[(kind, key)] = cached
+            self._qvecs[(kind, key)] = q_first
+        return cached
+
+    def _margin(self, kind, key, shift, e_sub, thr_exp, res_shift):
+        """Worst-case violation margin of the danger on the sub-ball moved
+        by the candidate ``shift`` matrix (in k-exponents; higher is safer,
+        None-like floor is represented by a large negative number)."""
+        cfg = self.cfg
+        spec = cfg.spec
+        q_first = self._qvecs[(kind, key)]
+        h = max(p.degree for p in q_first if not p.is_zero)
+        pert = Magnitude.power(spec.k, h + e_sub)
+        base_values = self._values[(kind, key)]
+        moved = _block_values(shift, kind, q_first)
+        best = Fraction(-(10**9))
+        for v, s, r in zip(base_values, moved, res_shift):
+            f = (v + r + s).frac_norm()
+            reach = Magnitude.zero(spec.k) if f <= pert else f
+            if reach.is_zero:
+                continue
+            best = max(best, reach.exponent() - thr_exp)
+        return best
+
+
+class OracleLiteralWhite:
+    """The gradient-anchored move rule: hold a direction anchor for t0
+    rounds, recentering so the move's projection on the anchor is at least
+    (1-alpha)/k of the ball radius times the anchor height; the anchor is
+    the discrete gradient of the top principal minor at the current center.
+    Falls back to avoidance play when the gradient vanishes."""
+
+    name = "white-literal"
+
+    def __init__(self, cfg: StrategyConfig, lookahead: int = 2):
+        self.cfg = cfg
+        self.anchor = None
+        self.hold = 0
+        self._avoid = OracleAvoidanceWhite(cfg, lookahead)
+
+    @staticmethod
+    def anchor_rounds(params) -> int:
+        """Smallest t0 with (alpha*beta)^t0 <= gamma/2 (then also
+        (alpha*beta)^t0 > alpha*beta*gamma/2)."""
+        gamma = params.gamma
+        if gamma <= 0:
+            raise ValueError("gamma must be positive for the literal rule")
+        step = params.alpha * params.beta
+        t0 = 1
+        cur = step
+        while cur > gamma / 2:
+            cur *= step
+            t0 += 1
+        return t0
+
+    def propose(self, t: GameTranscript) -> FormalBall:
+        cfg = self.cfg
+        prev = t.last()
+        alpha = t.params.alpha
+        spec = cfg.spec
+        canonical, _e_sub, dangers = self._avoid.active_dangers(t)
+        if not dangers:
+            # no hypothetical bad matrix to refute: the anchored maneuver is
+            # only engaged inside a danger episode
+            self.anchor = None
+            self.hold = 0
+            return FormalBall(prev.center, alpha * prev.radius)
+        if self.anchor is None or self.hold <= 0:
+            self.anchor = self._compute_anchor(t, canonical)
+            self.hold = self.anchor_rounds(t.params)
+        if self.anchor is None:
+            return self._avoid.propose(t)
+        self.hold -= 1
+        norms = [x.norm() for x in self.anchor]
+        top = max(norms)
+        if top.is_zero:
+            self.anchor = None
+            return self._avoid.propose(t)
+        cell = norms.index(top)
+        i, j = divmod(cell, cfg.n)
+        g = legal_center_shift_exponent(prev, alpha)
+        rows = [list(r) for r in prev.center.entries]
+        rows[i][j] = rows[i][j] + LaurentSeries.monomial(spec, 1, g)
+        ball = FormalBall(SeriesMatrix(spec, rows), alpha * prev.radius)
+        # the anchored-projection bound: k^g >= (1 - alpha) * radius / k
+        if Fraction(spec.k**g if g >= 0 else Fraction(1, spec.k**-g)) * spec.k < (
+            1 - alpha
+        ) * prev.radius:
+            raise NoLegalCenter("k-grid exhausted below the projection bound")
+        return ball
+
+    def _compute_anchor(self, t: GameTranscript, canonical: FormalBall):
+        cfg = self.cfg
+        basis = self._danger_basis(t, canonical)
+        grad = discrete_gradient(canonical.center, basis, cfg.m)
+        if all(x.is_zero for x in grad):
+            return None
+        return grad
+
+    def _danger_basis(self, t, canonical):
+        cfg = self.cfg
+        level = self._avoid._next_level(t, "h")
+        report = danger_set(
+            canonical,
+            level,
+            "h",
+            cfg,
+            height_cap=Magnitude.power(cfg.spec.k, cfg.height_cap_exp),
+        )
+        vecs = list(report.solutions[: cfg.m])
+        return orthonormalize(vecs, cfg.spec, cfg.d, cfg.m)
+
+
+class SteeringBlack:
+    """Sets every center coefficient it may legally touch, down to a fixed
+    depth, to those of a rational target, so White meets danger vectors."""
+
+    def __init__(self, targets):
+        self.targets = targets
+
+    def propose(self, t):
+        prev = t.last()
+        beta = t.params.beta
+        spec = prev.spec
+        g = legal_center_shift_exponent(prev, beta)
+        rows = []
+        for row, target_row in zip(prev.center.entries, self.targets):
+            out = []
+            for x, y in zip(row, target_row):
+                delta = {
+                    e: spec.sub(y.coeffs.get(e, 0), x.coeffs.get(e, 0))
+                    for e in range(g - 8, g + 1)
+                }
+                out.append(x + LaurentSeries(spec, delta))
+            rows.append(out)
+        return FormalBall(SeriesMatrix(spec, rows), beta * prev.radius)
+
+
+def _rational_target(rng, spec):
+    d = rng.randint(1, 3)
+    den = Poly(spec, [rng.randrange(spec.k) for _ in range(d)] + [1])
+    num = Poly(spec, [rng.randrange(spec.k) for _ in range(d)])
+    return RationalFn(num, den).to_series(precision=80)
+
+
+GAMES = dict(
+    field=st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    shape=st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+    cap=st.integers(1, 4),
+    R_exp=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+    rounds=st.integers(1, 16),
+    steer=st.booleans(),
+)
+
+
+def _game_setup(field, shape, cap, R_exp, seed, steer):
+    """Config, params and a fresh Black for one drawn game."""
+    spec = FieldSpec(*field)
+    m, n = shape
+    # the oracle rebuilds whole height classes every move: keep them small
+    while cap > 1 and spec.k ** ((cap + 1) * max(m, n)) > 1024:
+        cap -= 1
+    cfg = StrategyConfig(spec, m, n, R_exp=R_exp, height_cap_exp=cap)
+    params = GameParams(Fraction(1, 4), Fraction(1, 2), spec)
+
+    def black():
+        if not steer:
+            return RandomBlack(seed)
+        rng = random.Random(seed)
+        targets = [[_rational_target(rng, spec) for _ in range(n)] for _ in range(m)]
+        return SteeringBlack(targets)
+
+    return cfg, params, black
+
+
+@settings(max_examples=60)
+@given(literal=st.booleans(), **GAMES)
+def test_white_matches_the_oracle(field, shape, cap, R_exp, seed, rounds, steer, literal):
+    cfg, params, black = _game_setup(field, shape, cap, R_exp, seed, steer)
+    start = unit_ball(cfg.spec, cfg.m, cfg.n)
+    runs = []
+    for white in (
+        OracleLiteralWhite(cfg) if literal else OracleAvoidanceWhite(cfg),
+        LiteralWhite(cfg) if literal else AvoidanceWhite(cfg),
+    ):
+        t = play(white, black(), start, params, StopRule(max_rounds=rounds))
+        avoid = white._avoid if literal else white
+        runs.append((t.to_jsonl(), avoid.dodges))
+    assert runs[0] == runs[1]
+
+
+@settings(max_examples=60)
+@given(**GAMES)
+# F2, (1, 1), R = k: dangers listed below the top scanned level
+@example(field=(2, 1), shape=(1, 1), cap=2, R_exp=1, seed=1, rounds=3, steer=False)
+@example(field=(2, 1), shape=(1, 1), cap=3, R_exp=1, seed=0, rounds=5, steer=True)
+def test_dangers_sit_at_their_lowest_level(field, shape, cap, R_exp, seed, rounds, steer):
+    """Every move reports the oracle's danger vectors, each once, with the
+    threshold of the lowest level the oracle lists it at."""
+    cfg, params, black = _game_setup(field, shape, cap, R_exp, seed, steer)
+    white, oracle = AvoidanceWhite(cfg), OracleAvoidanceWhite(cfg)
+
+    class Lockstep:
+        def propose(self, t):
+            got = [
+                (kind, tuple(p.coeffs for p in q), thr)
+                for kind, q, _h, _values, thr in white.active_dangers(t)
+            ]
+            want = {}
+            for kind, _level, key, thr in oracle.active_dangers(t)[2]:
+                want.setdefault((kind, key), thr)  # levels ascend
+            assert sorted(got) == sorted((*danger, thr) for danger, thr in want.items())
+            ball = white.propose(t)
+            assert ball == oracle.propose(t)
+            return ball
+
+    start = unit_ball(cfg.spec, cfg.m, cfg.n)
+    play(Lockstep(), black(), start, params, StopRule(max_rounds=rounds))
+
+
+def _rescan_marker_level(cfg, kind, radius):
+    i = 0
+    k = cfg.spec.k
+    while radius < Magnitude.power(k, cfg.marker_exponent(kind, i)).as_fraction():
+        i += 1
+    return i
+
+
+@given(
+    field=st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    m=st.integers(1, 3),
+    n=st.integers(1, 2),
+    R_exp=st.integers(1, 3),
+    num=st.integers(1, 10**6),
+    den_exp=st.integers(0, 200),
+    kind=st.sampled_from(["k", "h"]),
+)
+def test_marker_level_matches_the_rescan(field, m, n, R_exp, num, den_exp, kind):
+    spec = FieldSpec(*field)
+    cfg = StrategyConfig(spec, m, n, R_exp=R_exp)
+    radius = Fraction(num, spec.k**den_exp)
+    assert cfg.marker_level(kind, radius) == _rescan_marker_level(cfg, kind, radius)
