@@ -1,6 +1,6 @@
-"""Badly-approximable machinery: truncated badness constants by exhaustive
-search, Dirichlet witnesses, the hat-matrix reformulation, and continued
-fractions for a single linear form.
+"""Badly-approximable machinery: truncated badness constants read off the
+level spaces of ``linalg`` (no q is enumerated), Dirichlet witnesses, the
+hat-matrix reformulation, and continued fractions for a single linear form.
 
 A system of m linear forms in n variables is a matrix A; the quantity of
 interest for a nonzero polynomial vector q is the score
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PrecisionExhausted, SearchBudgetExceeded, WitnessNotFound
 from .field import FieldSpec, Magnitude, Poly
+from .linalg import first_vector, least_levels
 from .series import (
     LaurentSeries,
     RationalFn,
@@ -142,60 +143,86 @@ def badness_constant(
     height_bound: Magnitude,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ):
-    """Exact min of height(q)^m * dist(qA)^n over 0 < height(q) <= bound.
+    """Exact min of height(q)^m * dist(qA)^n over 0 < height(q) <= bound,
+    and its first minimiser in ``iter_height_class`` order.
 
-    Enumerates by increasing height; inside a class, coordinates of qA whose
-    fractional norm already meets the running minimum's requirement are
-    dropped early (the height factor grows monotonically, so the required
-    distance only shrinks).
+    No q is enumerated.  A level walk gives the least distance exponent e_h
+    of each height k^h; the minimum is k^(min_h hm + n e_h), or zero at the
+    first q with dist 0, and the witness is the first vector of the lowest
+    height attaining it.  ``budget`` bounds, in closed form, the vectors an
+    enumeration in that order would have visited.
     """
-    if height_bound.is_zero:
-        raise ValueError("height bound must be positive")
-    m, n = sys.m, sys.n
-    A = sys.matrix
-    k = sys.spec.k
-    h_max = _floor_int_exponent(height_bound)
-    best = None
-    best_witness = None
-    seen = 0
-    for h in range(h_max + 1):
-        class_height = Magnitude.power(k, h)
-        need_below = None
-        if best is not None:
-            # dist must satisfy k^{hm} * dist^n < best
-            need_below = (best / class_height**m).root(n)
-        for q in iter_height_class(sys.spec, m, h):
-            if seen >= budget:
-                raise SearchBudgetExceeded(
-                    f"badness search exceeded the budget of {budget} vectors"
-                    f" at height k^{h}",
-                    count=seen,
-                )
-            seen += 1
-            dist = _dist_with_cutoff(q, A, need_below)
-            if dist is None:
-                continue
-            score = class_height**m * dist**n
-            if best is None or score < best:
-                best = score
-                best_witness = ApproxWitness(q, class_height, dist, score)
-                if best.is_zero:
-                    return best, best_witness
-                need_below = (best / class_height**m).root(n)
-    return best, best_witness
+    h_max = None if height_bound.is_zero else _floor_int_exponent(height_bound)
+    if h_max is None or h_max < 0:
+        raise ValueError(f"height bound must be at least 1, got {height_bound}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    m, n, k, A = sys.m, sys.n, sys.spec.k, sys.matrix
+    # the heights an enumeration would reach: past g it is out of budget,
+    # and before that only a zero score can stop it
+    g = next(h for h in itertools.count() if k ** (m * h) > budget)
+    total = k ** (m * (min(h_max, g) + 1)) - 1
+    cap = h_max if total <= budget else min(h_max, g - 1)
+    trunc = truncation_depth(A)
+    zero = zero_level(A)
+
+    def deepest(h):
+        return zero if trunc is None else h + trunc - 1
+
+    q, reached = None, total
+    levels = least_levels(A, cap, deepest) if cap >= 0 else []
+    if None in levels:
+        h = levels.index(None)
+        if trunc is not None:
+            raise PrecisionExhausted(
+                f"badness at height k^{h} needs coefficients below X^{trunc}"
+            )
+        q = first_vector(A, h, zero)
+        reached = k ** (m * h) + height_class_rank(q, h, k)
+    if reached > budget:
+        h = next(h for h in itertools.count() if k ** (m * (h + 1)) - 1 > budget)
+        raise SearchBudgetExceeded(
+            f"badness search exceeded the budget of {budget} vectors at height k^{h}",
+            count=budget,
+        )
+    if q is None:
+        exps = [h * m + n * e for h, e in enumerate(levels)]
+        h = exps.index(min(exps))
+        q = first_vector(A, h, levels[h])
+    height = Magnitude.power(k, h)
+    dist = exact_dist(q, A)
+    score = height**m * dist**n
+    return score, ApproxWitness(q, height, dist, score)
 
 
-def _dist_with_cutoff(q, A: SeriesMatrix, cutoff):
-    """dist(qA), or None as soon as some coordinate's fractional norm shows
-    the score cannot beat the running minimum."""
-    dist = Magnitude.zero(A.spec.k)
-    for j in range(A.cols):
-        fn = vec_dot(q, A.col(j)).frac_norm()
-        if cutoff is not None and fn >= cutoff:
-            return None
-        if fn > dist:
-            dist = fn
-    return dist
+def height_class_rank(q, h: int, k: int) -> int:
+    """Number of vectors before q in ``iter_height_class(spec, len(q), h)``."""
+    rank, top = 0, False
+    for i, p in enumerate(q):
+        rest = len(q) - 1 - i
+        r = 0  # p's place among the polynomials of degree <= h
+        for c in () if p.is_zero else (p.lead,) + p.coeffs[:-1]:
+            r = r * k + c
+        rank += r * k ** ((h + 1) * rest) - (0 if top else min(r, k**h) * k ** (h * rest))
+        top = top or p.degree == h
+    return rank
+
+
+def truncation_depth(A: SeriesMatrix):
+    """The highest precision floor of a truncated entry, or None."""
+    return max((x.known_below for r in A.entries for x in r if not x.is_exact), default=None)
+
+
+def zero_level(A: SeriesMatrix) -> int:
+    """For exact entries, a level c such that dist(qA) = 0 once qA has no
+    nonzero coefficient from X^-1 down to X^(c+1): D * qA is a polynomial
+    vector for D the product of the denominators."""
+    return -1 - sum(
+        x.den.degree if isinstance(x, RationalFn) else max(0, -min(x.coeffs, default=0))
+        for row in A.entries
+        for x in row
+        if x.is_exact
+    )
 
 
 def _floor_int_exponent(mag: Magnitude) -> int:

@@ -77,8 +77,7 @@ def main(argv=None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         if not hasattr(args, "handler"):
-            parser.print_help()
-            return 2
+            parser.error("a command is required")
         result = args.handler(args)
     except (
         InsufficientDepth,
@@ -212,6 +211,21 @@ def _emit_diagnostic(exc, extra=None):
     print(json.dumps(diag, sort_keys=True, default=str), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print the one-line JSON diagnostic, then exit 2."""
+
+    def error(self, message):
+        _emit_diagnostic(argparse.ArgumentError(None, message))
+        self.exit(2)
+
+
+def nonnegative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--field", default="2", help="p, p^r, or p^r:modulus")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -220,14 +234,14 @@ def _add_common(p):
         "--threads", type=int, default=1,
         help="accepted for compatibility; has no effect",
     )
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument("--budget", type=nonnegative, default=2_000_000)
     p.add_argument(
         "--no-timestamp", dest="timestamp", action="store_false", default=True
     )
 
 
 def _build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="lsdioph",
         description="Diophantine approximation over Laurent series fields",
     )
@@ -253,7 +267,7 @@ def _build_parser():
     _add_common(p)
     p.add_argument("--matrix", required=True, help="rows ';', entries ','")
     p.add_argument("--den", help="denominator: entries become exact rationals")
-    p.add_argument("--cap", type=int, required=True, help="height cap exponent")
+    p.add_argument("--cap", type=nonnegative, required=True, help="height cap exponent")
     p.set_defaults(handler=_cmd_badness, command_path="badness")
 
     p = sub.add_parser("dirichlet", help="pigeonhole approximation witness")
@@ -311,7 +325,7 @@ def _build_parser():
     p = sub.add_parser("certify", help="badness certificate for a transcript's limit")
     _add_common(p)
     p.add_argument("--transcript", required=True)
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=nonnegative, required=True)
     p.add_argument("--R-exp", type=int, default=2)
     p.add_argument("--precision", type=int, default=30)
     p.set_defaults(handler=_cmd_certify, command_path="certify")

@@ -22,8 +22,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import SearchIncomplete
-from .field import Magnitude, Poly
-from .linalg import adjugate, det, fq_nullspace, poly_independent
+from .field import Magnitude
+from .linalg import adjugate, det, level_space, poly_independent
 from .series import LaurentSeries, SeriesMatrix, vec_dot
 
 
@@ -145,7 +145,7 @@ def successive_minima(P: Parallelepiped, degree_bound: int | None = None) -> Suc
             raise SearchIncomplete(
                 f"level k^{e} needs vectors of degree up to {box}", box
             )
-        for vec in _level_space(scaled, e, box):
+        for vec in level_space(scaled, e, box):
             if len(witnesses) == d:
                 break
             if poly_independent(vec, witnesses, spec):
@@ -163,43 +163,6 @@ def successive_minima(P: Parallelepiped, degree_bound: int | None = None) -> Suc
             "product law failed to certify the found minima", e + slack
         )
     return SuccessiveMinima(tuple(values), tuple(witnesses), parallelepiped_measure(P))
-
-
-def _level_space(scaled: SeriesMatrix, e: int, box: int):
-    """F_q-basis of {x in F_q[X]^d, deg x_i <= box : ||x . scaled||_inf <= k^e},
-    returned as polynomial vectors."""
-    spec = scaled.spec
-    d = scaled.rows
-    nvars = d * (box + 1)
-    rows = []
-    for j in range(d):
-        col = scaled.col(j)
-        leads = [x.lead_exp for x in col if not x.is_zero]
-        if not leads:
-            continue
-        top = box + max(leads)
-        for s in range(e + 1, top + 1):
-            row = [0] * nvars
-            nonempty = False
-            for i in range(d):
-                entry = col[i]
-                if entry.is_zero:
-                    continue
-                for t in range(box + 1):
-                    c = entry.coeffs.get(s - t, 0)
-                    if c:
-                        row[i * (box + 1) + t] = c
-                        nonempty = True
-            if nonempty:
-                rows.append(row)
-    basis = fq_nullspace(rows, nvars, spec)
-    out = []
-    for v in basis:
-        polys = tuple(
-            Poly(spec, v[i * (box + 1) : (i + 1) * (box + 1)]) for i in range(d)
-        )
-        out.append(polys)
-    return out
 
 
 def polar(P: Parallelepiped) -> Parallelepiped:

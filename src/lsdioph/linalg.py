@@ -1,6 +1,7 @@
 """Small exact linear algebra: determinants and adjugates of scalar
-matrices, rank of polynomial vectors over the rational function field, and
-nullspaces over F_q.
+matrices, rank of polynomial vectors over the rational function field, one
+incremental elimination over F_q, and the level spaces built on it: the
+F_q-subspaces of bounded-degree q whose products qA are small.
 
 Dimensions in this package are tiny (d <= 6 or so); cofactor expansion and
 plain Gaussian elimination are the right tools.
@@ -8,8 +9,8 @@ plain Gaussian elimination are the right tools.
 
 from __future__ import annotations
 
-from .field import FieldSpec
-from .series import SeriesMatrix, scalar_zero, vec_dot
+from .field import FieldSpec, Poly
+from .series import RationalFn, SeriesMatrix, scalar_zero, vec_dot
 
 
 def det(matrix: SeriesMatrix):
@@ -104,43 +105,67 @@ def poly_independent(vector, basis, spec: FieldSpec) -> bool:
     return poly_rank(list(basis) + [vector], spec) > poly_rank(basis, spec)
 
 
-def fq_nullspace(rows, ncols: int, spec: FieldSpec):
-    """Basis of the right nullspace of a matrix over F_q.
+class FqEchelon:
+    """Incremental row echelon form over F_q.  A row ``a | b`` (``nvars + 1``
+    elements) means a . x = b; each kept row starts with a 1 at its pivot,
+    its first nonzero column, and no two share one, so the pivots among the
+    first c columns count their rank.  ``add`` only inserts: deleting the
+    rows it just added undoes it.  A pivot at ``nvars`` means no solution."""
 
-    ``rows`` is a list of length-``ncols`` lists of ints.  Returns a list of
-    length-``ncols`` int vectors.
-    """
-    mat = [list(r) for r in rows]
-    pivots = {}  # col -> row index
-    row_i = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(row_i, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[row_i], mat[pivot] = mat[pivot], mat[row_i]
-        inv = spec.inv(mat[row_i][col])
-        mat[row_i] = [spec.mul(inv, v) for v in mat[row_i]]
-        for i in range(len(mat)):
-            if i != row_i and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [
-                    spec.sub(a, spec.mul(c, b)) for a, b in zip(mat[i], mat[row_i])
-                ]
-        pivots[col] = row_i
-        row_i += 1
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = spec.neg(mat[pr][fc])
-        basis.append(vec)
-    return basis
+    def __init__(self, spec: FieldSpec, nvars: int):
+        self.spec = spec
+        self.nvars = nvars
+        self.rows = {}  # pivot -> the row from its pivot column on
+
+    def _reduce(self, row, start=0):
+        for c in range(start, len(row)):
+            if row[c] and c in self.rows:
+                row[c:] = _sub_multiple(self.spec, row[c:], row[c], self.rows[c])
+        return row
+
+    def add(self, row):
+        """Insert a row; return its pivot, or None when the kept rows imply it."""
+        row = self._reduce(list(row))
+        c = next((i for i, a in enumerate(row) if a), None)
+        if c is not None:
+            inv = self.spec.inv(row[c])
+            self.rows[c] = [self.spec.mul(inv, a) for a in row[c:]]
+        return c
+
+    @property
+    def consistent(self) -> bool:
+        return self.nvars not in self.rows
+
+    def value(self, var: int):
+        """The value every solution gives x[var], or None when it varies."""
+        row = self._reduce([0] * var + [1] + [0] * (self.nvars - var), var)
+        return None if any(row[:-1]) else self.spec.neg(row[-1])
+
+    def nullspace(self):
+        """Basis of the solutions of a homogeneous system, as reduced row
+        echelon form gives it: per free column f, 1 at f, 0 at the others."""
+        full = {c: [0] * c + r for c, r in self.rows.items()}
+        for c in sorted(full, reverse=True):
+            for p, r in full.items():
+                if p < c and r[c]:
+                    full[p] = _sub_multiple(self.spec, r, r[c], full[c])
+        basis = []
+        for f in range(self.nvars):
+            if f in full:
+                continue
+            vec = [0] * self.nvars
+            vec[f] = 1
+            for c, r in full.items():
+                vec[c] = self.spec.neg(r[f])
+            basis.append(vec)
+        return basis
+
+
+def _sub_multiple(spec: FieldSpec, xs, a: int, ys):
+    """xs - a * ys, entry by entry."""
+    if spec.r == 1:
+        return [(x - a * y) % spec.p for x, y in zip(xs, ys)]
+    return [spec.sub(x, spec.mul(a, y)) for x, y in zip(xs, ys)]
 
 
 def series_vec_rank_at_zero(vectors, spec: FieldSpec) -> int:
@@ -148,8 +173,136 @@ def series_vec_rank_at_zero(vectors, spec: FieldSpec) -> int:
     ultrametric orthonormality)."""
     if not vectors:
         return 0
-    rows = [[x.coeffs.get(0, 0) for x in v] for v in vectors]
-    return len(rows[0]) - len(fq_nullspace(rows, len(rows[0]), spec))
+    ech = FqEchelon(spec, len(vectors[0]))
+    return sum(ech.add([x.coeffs.get(0, 0) for x in v] + [0]) is not None for v in vectors)
+
+
+# ---------------------------------------------------------------------------
+# Level spaces: the norm is ultrametric, so the q with deg q_i <= h whose
+# products qA have no nonzero coefficient in a window of exponents form an
+# F_q-subspace, cut out by one row per (column, exponent).
+# ---------------------------------------------------------------------------
+
+
+def coefficient_row(coeffs, s: int, h: int):
+    """The X^s coefficient of sum_i q_i * x_i as a linear form in the
+    q_{i,t}, t <= h, ordered by t and then i; ``coeffs[i]`` maps the
+    exponents of x_i to its coefficients."""
+    return [c.get(s - t, 0) for t in range(h + 1) for c in coeffs]
+
+
+def level_space(A: SeriesMatrix, e: int, h: int):
+    """F_q-basis of {x : deg x_i <= h, ||x . A_j|| <= k^e for every column j}
+    for exact finite-support entries, as polynomial vectors; the variables
+    run coordinate by coordinate, which fixes the basis."""
+    spec, d = A.spec, A.rows
+    ech = FqEchelon(spec, d * (h + 1))
+    for j in range(A.cols):
+        coeffs = [x.coeffs for x in A.col(j)]
+        if not any(coeffs):
+            continue
+        top = h + max(max(c) for c in coeffs if c)
+        for s in range(e + 1, top + 1):
+            row = coefficient_row(coeffs, s, h)
+            ech.add([row[t * d + i] for i in range(d) for t in range(h + 1)] + [0])
+    return [
+        tuple(Poly(spec, v[i * (h + 1) : (i + 1) * (h + 1)]) for i in range(d))
+        for v in ech.nullspace()
+    ]
+
+
+class LevelWalk:
+    """The subspaces {q : deg q_i <= cap, dist(qA) <= k^level}, level = -1,
+    -2, ...: ``descend`` adds, per column, the row "the X^level coefficient
+    of qA vanishes".  Variables run by degree, so ``pivots[h]`` counts the
+    rank gained on the degree-h block, and some q of height exactly k^h is
+    left iff it is below m.  Entries are read down to X^lo; an unknown
+    coefficient reads 0, so block h is exact while level >= h + floor - 1
+    for the precision floor of a truncated entry."""
+
+    def __init__(self, A: SeriesMatrix, cap: int, lo: int, cols=None):
+        cols = range(A.cols) if cols is None else cols
+        self.m, self.cap = A.rows, cap
+        self.columns = [[_coefficients(x, lo) for x in A.col(j)] for j in cols]
+        self.echelon = FqEchelon(A.spec, A.rows * (cap + 1))
+        self.level = -1
+        self.pivots = [0] * (cap + 1)
+
+    def descend(self):
+        for coeffs in self.columns:
+            p = self.echelon.add(coefficient_row(coeffs, self.level, self.cap) + [0])
+            if p is not None:
+                self.pivots[p // self.m] += 1
+        self.level -= 1
+
+
+def _coefficients(x, lo: int) -> dict:
+    """Exponent -> coefficient, down to X^lo at least (every known one of a
+    truncated series)."""
+    if not isinstance(x, RationalFn):
+        return x.coeffs
+    if x.is_zero:
+        return {}
+    lead = x.num.degree - x.den.degree
+    return x.to_series(precision=max(1, lead - lo + 1)).coeffs
+
+
+def least_levels(A: SeriesMatrix, cap: int, deepest, cols=None):
+    """Per height h <= cap, the least distance exponent of a q of height
+    exactly k^h, or None when some q has distance <= k^deepest(h)."""
+    walk = LevelWalk(A, cap, min(map(deepest, range(cap + 1))) + 1 - cap, cols)
+    out = {}
+    while True:
+        for h in range(cap + 1):
+            if h in out:
+                continue
+            if walk.pivots[h] == walk.m:
+                out[h] = walk.level + 1
+            elif walk.level <= deepest(h):
+                out[h] = None
+        if len(out) > cap:
+            return [out[h] for h in range(cap + 1)]
+        walk.descend()
+
+
+def first_vector(A: SeriesMatrix, h: int, level: int, cols=None):
+    """The first q in ``iter_height_class`` order of height exactly k^h with
+    dist(qA) <= k^level over the columns ``cols``, or None.  Coefficients
+    are fixed as that order compares them: x^h, x^(h-1), ... down to the
+    first nonzero one, then x^0, x^1, ...; each takes the first value in
+    ``spec.elements()`` that keeps the system solvable with some coordinate
+    still able to reach degree h."""
+    walk = LevelWalk(A, h, level + 1 - h, cols)
+    while walk.level > level:
+        walk.descend()
+    ech, m, spec = walk.echelon, A.rows, A.spec
+
+    def viable(i, top):
+        later = range(i + 1, m)
+        return ech.consistent and (top or any(ech.value(h * m + j) != 0 for j in later))
+
+    def choose(i, t, top):
+        var = t * m + i
+        for v in spec.elements():
+            p = ech.add([0] * var + [1] + [0] * (ech.nvars - var - 1) + [v])
+            if viable(i, top or (t == h and v)):
+                return v
+            del ech.rows[p]
+
+    if not viable(-1, False):
+        return None
+    q, top = [], False
+    for i in range(m):
+        coeffs = [0] * (h + 1)
+        for t in range(h, -1, -1):
+            coeffs[t] = choose(i, t, top)
+            if coeffs[t]:
+                for u in range(t):
+                    coeffs[u] = choose(i, u, top or t == h)
+                break
+        top = top or coeffs[h] != 0
+        q.append(Poly(spec, coeffs))
+    return tuple(q)
 
 
 def mat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:

@@ -24,6 +24,9 @@ from .errors import (
 from .field import FieldSpec, Magnitude, Poly
 
 DEFAULT_DIV_PRECISION = 64
+# Largest |exponent| the text grammar accepts: a polynomial part is stored
+# densely, so memory grows with the exponents a term names.
+MAX_EXPONENT = 10**6
 
 
 class LaurentSeries:
@@ -674,6 +677,10 @@ def _parse_term(chunk: str, offset: int, spec: FieldSpec):
             exp = int(rest[1:].strip())
         except ValueError:
             raise SeriesSyntaxError("bad exponent", pos + len(raw) - len(rest)) from None
+        if abs(exp) > MAX_EXPONENT:
+            raise SeriesSyntaxError(
+                f"exponent {exp} beyond +-{MAX_EXPONENT}", pos + len(raw) - len(rest)
+            )
     if coeff is None:
         coeff = 1
     return coeff, exp

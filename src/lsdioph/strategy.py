@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .approx import LinearFormSystem, build_hat, exact_dist, iter_height_class, iter_polys
+from .approx import height_class_rank, truncation_depth
 from .errors import CounterexampleFound, NoLegalCenter, SearchBudgetExceeded
 from .field import FieldSpec, Magnitude, Poly, floor_log
 from .game import FormalBall, GameTranscript, canonicalize, legal_center_shift_exponent
-from .linalg import det_entries, poly_rank, series_vec_rank_at_zero
+from .linalg import FqEchelon, det_entries, first_vector, least_levels, poly_rank
+from .linalg import series_vec_rank_at_zero
 from .series import LaurentSeries, SeriesMatrix, vec_dot
 
 DANGER_BUDGET = 200_000
@@ -331,29 +333,22 @@ def _unit_vectors(spec, dim):
 def _residue_combination(basis, v, spec):
     """Solve residue(v) = sum c_i residue(basis_i) over F_q; return the
     combination vectors c_i * basis_i summed coordinatewise, or None."""
-    from .linalg import fq_nullspace
-
     if not basis:
         return None
-    dim = len(v)
-    ncols = len(basis) + 1
-    rows = []
-    for coord in range(dim):
-        rows.append(
-            [b[coord].coeffs.get(0, 0) for b in basis] + [v[coord].coeffs.get(0, 0)]
-        )
-    for sol in fq_nullspace(rows, ncols, spec):
-        if sol[-1] != 0:
-            inv = spec.inv(spec.neg(sol[-1]))
-            coeffs = [spec.mul(inv, c) for c in sol[:-1]]
-            combo = []
-            for coord in range(dim):
-                acc = LaurentSeries.zero(spec)
-                for c, b in zip(coeffs, basis):
-                    acc = acc + b[coord].scale(c)
-                combo.append(acc)
-            return combo
-    return None
+    ech = FqEchelon(spec, len(basis))
+    for coord in range(len(v)):
+        ech.add([b[coord].coeffs.get(0, 0) for b in basis] + [v[coord].coeffs.get(0, 0)])
+    if not ech.consistent:
+        return None
+    # the residues of ``basis`` are independent, so the solution is unique
+    coeffs = [ech.value(i) for i in range(len(basis))]
+    combo = []
+    for coord in range(len(v)):
+        acc = LaurentSeries.zero(spec)
+        for c, b in zip(coeffs, basis):
+            acc = acc + b[coord].scale(c)
+        combo.append(acc)
+    return combo
 
 
 def is_orthonormal(basis, spec: FieldSpec) -> bool:
@@ -726,11 +721,20 @@ def certify_bad(
 ) -> BadnessCertificate:
     """Verify dist(q.point)^n > K / height(q)^m for all nonzero q up to the
     cap, with K one k-power inside the guaranteed interval; returns the
-    minimal observed margin, or raises CounterexampleFound.
+    minimal margin, or raises CounterexampleFound.
 
     ``known_below`` declares the truncation depth of a limit point; a passing
     distance is only accepted if its leading exponent is pinned above the
-    depth that the products q.point can still see."""
+    depth that the products q.point can still see.
+
+    No q is enumerated.  A level walk gives the least distance exponent e_h
+    of each height k^h: the margin is min_h(hm + n e_h) - K, and
+    ``witnesses_checked`` the k^(m(cap+1)) - 1 vectors it covers.  Height h
+    fails if some q of it has distance <= k^c, c the larger of the score
+    and pinning failure levels, or (truncated entries) a column with no
+    known fractional digit; the first failing q in ``iter_height_class``
+    order gets the check the enumeration gave it.
+    """
     from .errors import PrecisionExhausted
 
     spec = cfg.spec
@@ -738,26 +742,43 @@ def certify_bad(
     m, n = cfg.m, cfg.n
     K_exp = cfg.certify_K_exponent
     cap = int(height_cap.exponent().__floor__())
-    checked = 0
-    margin = None
-    for h in range(0, cap + 1):
-        for q in iter_height_class(spec, m, h):
-            checked += 1
-            dist = exact_dist(q, point)
-            score = Magnitude.power(k, h * m) * dist**n
-            if score <= Magnitude.power(k, K_exp):
-                raise CounterexampleFound(
-                    f"q = ({', '.join(str(p) for p in q)}) scores {score} <= k^{K_exp}",
-                    q,
-                )
-            if known_below is not None and int(dist.exponent()) <= known_below + h:
-                raise PrecisionExhausted(
-                    f"distance for q = ({', '.join(str(p) for p in q)}) is not "
-                    f"pinned above the truncation depth {known_below}"
-                )
-            mg = int(score.exponent()) - K_exp
-            margin = mg if margin is None else min(margin, mg)
-    return BadnessCertificate(K_exp, cap, margin, checked)
+    if cap < 0:
+        raise ValueError(f"certification cap must be at least 1, got {height_cap}")
+    trunc = truncation_depth(point)
+
+    def deepest(h):
+        c = (K_exp - h * m) // n
+        if known_below is not None:
+            c = max(c, known_below + h)
+        return c if trunc is None else max(c, h + trunc - 1)
+
+    # the subspaces whose vectors fail, as (columns, level at height h)
+    subspaces = [(None, deepest)]
+    if trunc is not None and n > 1:  # one column with no known fraction fails
+        subspaces += [((j,), lambda h: h + trunc - 1) for j in range(n)]
+    levels = [least_levels(point, cap, c, cols) for cols, c in subspaces]
+    fails = [(lv.index(None), cols, c) for (cols, c), lv in zip(subspaces, levels) if None in lv]
+    if fails:
+        h = min(f[0] for f in fails)
+        q = min(
+            (first_vector(point, h, c(h), cols) for g, cols, c in fails if g == h),
+            key=lambda q: height_class_rank(q, h, k),
+        )
+        dist = exact_dist(q, point)
+        score = Magnitude.power(k, h * m) * dist**n
+        if score <= Magnitude.power(k, K_exp):
+            raise CounterexampleFound(
+                f"q = ({', '.join(str(p) for p in q)}) scores {score} <= k^{K_exp}",
+                q,
+            )
+        if known_below is not None and int(dist.exponent()) <= known_below + h:
+            raise PrecisionExhausted(
+                f"distance for q = ({', '.join(str(p) for p in q)}) is not "
+                f"pinned above the truncation depth {known_below}"
+            )
+        raise RuntimeError(f"level walk flagged q = {q}, which passes")
+    margin = min(h * m + n * e for h, e in enumerate(levels[0])) - K_exp
+    return BadnessCertificate(K_exp, cap, margin, k ** (m * (cap + 1)) - 1)
 
 
 # ---------------------------------------------------------------------------

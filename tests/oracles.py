@@ -1,0 +1,159 @@
+"""Code the level walk replaced, kept verbatim as test oracles: the two
+exhaustive searches, which visit every q in ``iter_height_class`` order
+(only the import of PrecisionExhausted is rewritten), and the old F_q
+null space."""
+
+from lsdioph.approx import (
+    DEFAULT_SEARCH_BUDGET,
+    ApproxWitness,
+    LinearFormSystem,
+    _floor_int_exponent,
+    exact_dist,
+    iter_height_class,
+)
+from lsdioph.errors import CounterexampleFound, SearchBudgetExceeded
+from lsdioph.field import Magnitude
+from lsdioph.series import SeriesMatrix, vec_dot
+from lsdioph.strategy import BadnessCertificate, StrategyConfig
+
+
+def oracle_badness_constant(
+    sys: LinearFormSystem,
+    height_bound: Magnitude,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+):
+    """Exact min of height(q)^m * dist(qA)^n over 0 < height(q) <= bound.
+
+    Enumerates by increasing height; inside a class, coordinates of qA whose
+    fractional norm already meets the running minimum's requirement are
+    dropped early (the height factor grows monotonically, so the required
+    distance only shrinks).
+    """
+    if height_bound.is_zero:
+        raise ValueError("height bound must be positive")
+    m, n = sys.m, sys.n
+    A = sys.matrix
+    k = sys.spec.k
+    h_max = _floor_int_exponent(height_bound)
+    best = None
+    best_witness = None
+    seen = 0
+    for h in range(h_max + 1):
+        class_height = Magnitude.power(k, h)
+        need_below = None
+        if best is not None:
+            # dist must satisfy k^{hm} * dist^n < best
+            need_below = (best / class_height**m).root(n)
+        for q in iter_height_class(sys.spec, m, h):
+            if seen >= budget:
+                raise SearchBudgetExceeded(
+                    f"badness search exceeded the budget of {budget} vectors"
+                    f" at height k^{h}",
+                    count=seen,
+                )
+            seen += 1
+            dist = dist_with_cutoff(q, A, need_below)
+            if dist is None:
+                continue
+            score = class_height**m * dist**n
+            if best is None or score < best:
+                best = score
+                best_witness = ApproxWitness(q, class_height, dist, score)
+                if best.is_zero:
+                    return best, best_witness
+                need_below = (best / class_height**m).root(n)
+    return best, best_witness
+
+
+def dist_with_cutoff(q, A: SeriesMatrix, cutoff):
+    """dist(qA), or None as soon as some coordinate's fractional norm shows
+    the score cannot beat the running minimum."""
+    dist = Magnitude.zero(A.spec.k)
+    for j in range(A.cols):
+        fn = vec_dot(q, A.col(j)).frac_norm()
+        if cutoff is not None and fn >= cutoff:
+            return None
+        if fn > dist:
+            dist = fn
+    return dist
+
+
+def oracle_certify_bad(
+    point: SeriesMatrix,
+    cfg: StrategyConfig,
+    height_cap: Magnitude,
+    known_below: int | None = None,
+) -> BadnessCertificate:
+    """Verify dist(q.point)^n > K / height(q)^m for all nonzero q up to the
+    cap, with K one k-power inside the guaranteed interval; returns the
+    minimal observed margin, or raises CounterexampleFound.
+
+    ``known_below`` declares the truncation depth of a limit point; a passing
+    distance is only accepted if its leading exponent is pinned above the
+    depth that the products q.point can still see."""
+    from lsdioph.errors import PrecisionExhausted
+
+    spec = cfg.spec
+    k = spec.k
+    m, n = cfg.m, cfg.n
+    K_exp = cfg.certify_K_exponent
+    cap = int(height_cap.exponent().__floor__())
+    checked = 0
+    margin = None
+    for h in range(0, cap + 1):
+        for q in iter_height_class(spec, m, h):
+            checked += 1
+            dist = exact_dist(q, point)
+            score = Magnitude.power(k, h * m) * dist**n
+            if score <= Magnitude.power(k, K_exp):
+                raise CounterexampleFound(
+                    f"q = ({', '.join(str(p) for p in q)}) scores {score} <= k^{K_exp}",
+                    q,
+                )
+            if known_below is not None and int(dist.exponent()) <= known_below + h:
+                raise PrecisionExhausted(
+                    f"distance for q = ({', '.join(str(p) for p in q)}) is not "
+                    f"pinned above the truncation depth {known_below}"
+                )
+            mg = int(score.exponent()) - K_exp
+            margin = mg if margin is None else min(margin, mg)
+    return BadnessCertificate(K_exp, cap, margin, checked)
+
+
+def oracle_fq_nullspace(rows, ncols: int, spec):
+    """Basis of the right nullspace of a matrix over F_q.
+
+    ``rows`` is a list of length-``ncols`` lists of ints.  Returns a list of
+    length-``ncols`` int vectors.
+    """
+    mat = [list(r) for r in rows]
+    pivots = {}  # col -> row index
+    row_i = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(row_i, len(mat)):
+            if mat[i][col]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        mat[row_i], mat[pivot] = mat[pivot], mat[row_i]
+        inv = spec.inv(mat[row_i][col])
+        mat[row_i] = [spec.mul(inv, v) for v in mat[row_i]]
+        for i in range(len(mat)):
+            if i != row_i and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [
+                    spec.sub(a, spec.mul(c, b)) for a, b in zip(mat[i], mat[row_i])
+                ]
+        pivots[col] = row_i
+        row_i += 1
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free_cols:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for pc, pr in pivots.items():
+            vec[pc] = spec.neg(mat[pr][fc])
+        basis.append(vec)
+    return basis

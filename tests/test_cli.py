@@ -1,8 +1,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lsdioph.cli import main
+from lsdioph.field import FieldSpec
+from lsdioph.series import LaurentSeries, format_series
 
 
 def run_cli(capsys, *argv):
@@ -332,3 +336,134 @@ def test_boxcount_threads_flag_has_no_effect(capsys):
     code, threaded, _ = run_cli(capsys, *argv, "--threads", "2")
     assert code == 0
     assert json.loads(threaded)["result"] == json.loads(plain)["result"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("badness", "--matrix", "X^-1", "--cap", "-1"), "--cap"),
+        (("certify", "--transcript", "{transcript}", "--cap", "-1"), "--cap"),
+        (("badness", "--matrix", "X^-1", "--cap", "2", "--budget", "-1"), "--budget"),
+    ],
+    ids=["badness-cap", "certify-cap", "budget"],
+)
+def test_negative_cap_and_budget_exit_2_by_name(tmp_path, capsys, argv, flag):
+    transcript = _small_transcript(tmp_path, capsys)
+    assert exit_code([a.format(transcript=transcript) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err) == {
+        "error": "ArgumentError",
+        "message": f"argument {flag}: must be >= 0, got -1",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("dirichlet", "--matrix", "X^-1"), "the following arguments are required: --t"),
+        (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
+        (("badness", "--matrix", "X^-1", "--cap", "two"), "argument --cap: invalid"),
+        ((), "a command is required"),
+    ],
+    ids=["missing-flag", "unknown-command", "non-integer-cap", "no-command"],
+)
+def test_argparse_errors_exit_2_with_one_json_line(capsys, argv, message):
+    assert exit_code(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1
+    diag = json.loads(out.err)
+    assert diag["error"] == "ArgumentError"
+    assert diag["message"].startswith(message)
+
+
+def test_huge_exponent_is_a_syntax_error(capsys):
+    code, out, err = run_cli(capsys, "series", "--x", "X + X^99999999999", "--no-timestamp")
+    assert code == 2
+    diag = json.loads(err)
+    assert diag["error"] == "SeriesSyntaxError"
+    assert diag["position"] == 5
+
+
+def exit_code(argv):
+    """main's return value, or the status of the SystemExit that argparse
+    raises for a usage error."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _small_transcript(tmp_path, capsys):
+    path = tmp_path / "small.jsonl"
+    if not path.exists():
+        code, _, _ = run_cli(
+            capsys, "game", "run", "--alpha", "1/4", "--beta", "1/2", "--rounds", "8",
+            "--cap", "2", "--seed", "3", "--out", str(path), "--no-timestamp",
+        )
+        assert code == 0
+    return str(path)
+
+
+EDGE = ["-1", "0", "99999999999", ""]
+
+
+@st.composite
+def fuzz_argvs(draw, transcript):
+    """badness, certify or series argvs from formatter output and edge
+    values (negative, zero, huge, empty).  Caps stay at 4 or below, and
+    precisions small: a huge --precision still runs for minutes."""
+    spec = draw(st.sampled_from([FieldSpec(2), FieldSpec(3), FieldSpec(2, 2)]))
+    field = str(spec.p) if spec.r == 1 else f"{spec.p}^{spec.r}"
+
+    def formatted(exponents, coefficients, min_size=0):
+        terms = st.lists(st.tuples(exponents, coefficients), min_size=min_size, max_size=4)
+        return st.builds(lambda t: format_series(LaurentSeries(spec, dict(t))), terms)
+
+    series = formatted(st.integers(-6, 2), st.integers(0, spec.k - 1))
+    edge_text = st.sampled_from(["", "X^99999999999", "X^-99999999999", "(", "X^", "1;"])
+    text = st.one_of(series, series, edge_text)
+    cap = st.sampled_from(["0", "1", "2", "3", "4"] * 2 + ["-1", "", "x"])
+    command = draw(st.sampled_from(["badness", "certify", "series"]))
+    flags = {
+        "--field": st.sampled_from([field] * 8 + EDGE),
+        "--budget": st.sampled_from(["10", "2000000"] + EDGE),
+    }
+    if command == "badness":
+        m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        entry = formatted(st.integers(-6, 0), st.integers(1, spec.k - 1), min_size=1)
+        row = st.lists(entry, min_size=n, max_size=n).map(", ".join)
+        matrix = st.lists(row, min_size=m, max_size=m).map("; ".join)
+        flags["--matrix"] = st.one_of(matrix, matrix, edge_text)
+        flags["--cap"] = cap
+        flags["--den"] = text
+    elif command == "certify":
+        flags["--transcript"] = st.sampled_from([transcript] * 3 + [transcript + ".missing"])
+        flags["--cap"] = cap
+        flags["--precision"] = st.sampled_from(["8", "8", "30", "-1", "0", ""])
+        flags["--R-exp"] = st.sampled_from(["1", "2", "2", "0", "-1"])
+    else:
+        flags["--x"] = flags["--y"] = text
+        flags["--op"] = st.sampled_from(["add", "sub", "mul", "div", ""])
+        flags["--precision"] = st.sampled_from(["5", "64", "-1", "0", ""])
+    argv = [command]
+    for flag, values in flags.items():
+        required = flag in ("--field", "--matrix", "--cap", "--transcript", "--x")
+        if required or not draw(st.integers(0, 3)):
+            argv += [flag, draw(values)]
+    return argv + ["--no-timestamp"]
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_main_never_crashes(tmp_path, capsys, data):
+    code = exit_code(data.draw(fuzz_argvs(_small_transcript(tmp_path, capsys))))
+    out = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.out == ""
+        assert len(out.err.splitlines()) == 1
+        assert set(json.loads(out.err)) >= {"error", "message"}
+    else:
+        json.loads(out.out)
