@@ -77,7 +77,9 @@ def main(argv=None) -> int:
         parser = _build_parser()
         args = parser.parse_args(argv)
         if not hasattr(args, "handler"):
-            parser.error("a command is required")
+            parser.print_help()
+            _emit_diagnostic(argparse.ArgumentError(None, "a command is required"))
+            return 2
         result = args.handler(args)
     except (
         InsufficientDepth,

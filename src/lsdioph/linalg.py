@@ -9,6 +9,8 @@ plain Gaussian elimination are the right tools.
 
 from __future__ import annotations
 
+import bisect
+
 from .field import FieldSpec, Poly
 from .series import RationalFn, SeriesMatrix, scalar_zero, vec_dot
 
@@ -163,8 +165,6 @@ class FqEchelon:
 
 def _sub_multiple(spec: FieldSpec, xs, a: int, ys):
     """xs - a * ys, entry by entry."""
-    if spec.r == 1:
-        return [(x - a * y) % spec.p for x, y in zip(xs, ys)]
     return [spec.sub(x, spec.mul(a, y)) for x, y in zip(xs, ys)]
 
 
@@ -193,42 +193,47 @@ def coefficient_row(coeffs, s: int, h: int):
 
 def level_space(A: SeriesMatrix, e: int, h: int):
     """F_q-basis of {x : deg x_i <= h, ||x . A_j|| <= k^e for every column j}
-    for exact finite-support entries, as polynomial vectors; the variables
-    run coordinate by coordinate, which fixes the basis."""
-    spec, d = A.spec, A.rows
-    ech = FqEchelon(spec, d * (h + 1))
-    for j in range(A.cols):
-        coeffs = [x.coeffs for x in A.col(j)]
-        if not any(coeffs):
-            continue
-        top = h + max(max(c) for c in coeffs if c)
-        for s in range(e + 1, top + 1):
-            row = coefficient_row(coeffs, s, h)
-            ech.add([row[t * d + i] for i in range(d) for t in range(h + 1)] + [0])
+    for exact finite-support entries, as polynomial vectors.  The walk's
+    variables run by degree, which fixes the basis: a coordinate-major order
+    gives other witnesses in ``successive_minima`` on some inputs."""
+    top = h + max((s for r in A.entries for x in r for s in x.coeffs), default=e)
+    walk = LevelWalk(A, h, e + 1 - h, top=top)
+    while walk.level > e:
+        walk.descend(e + 1)
+    d = A.rows
     return [
-        tuple(Poly(spec, v[i * (h + 1) : (i + 1) * (h + 1)]) for i in range(d))
-        for v in ech.nullspace()
+        tuple(Poly(A.spec, v[i::d]) for i in range(d)) for v in walk.echelon.nullspace()
     ]
 
 
 class LevelWalk:
-    """The subspaces {q : deg q_i <= cap, dist(qA) <= k^level}, level = -1,
-    -2, ...: ``descend`` adds, per column, the row "the X^level coefficient
-    of qA vanishes".  Variables run by degree, so ``pivots[h]`` counts the
-    rank gained on the degree-h block, and some q of height exactly k^h is
-    left iff it is below m.  Entries are read down to X^lo; an unknown
+    """The subspaces {q : deg q_i <= cap, qA has no nonzero coefficient at
+    X^s for level < s <= top}, level = top, top - 1, ...: ``descend`` adds,
+    per column, the row "the X^level coefficient of qA vanishes".  With
+    top = -1 this is dist(qA) <= k^level; with top at least the degree of
+    qA, ||qA|| <= k^level.  Variables run by degree, so ``pivots[h]`` counts
+    the rank gained on the degree-h block, and some q of height exactly k^h
+    is left iff it is below m.  Entries are read down to X^lo; an unknown
     coefficient reads 0, so block h is exact while level >= h + floor - 1
     for the precision floor of a truncated entry."""
 
-    def __init__(self, A: SeriesMatrix, cap: int, lo: int, cols=None):
+    def __init__(self, A: SeriesMatrix, cap: int, lo: int, cols=None, top: int = -1):
         cols = range(A.cols) if cols is None else cols
         self.m, self.cap = A.rows, cap
         self.columns = [[_coefficients(x, lo) for x in A.col(j)] for j in cols]
+        # the exponents of nonzero coefficients: a level's rows are zero
+        # unless one of them lies within cap below it
+        self.exps = sorted({s for col in self.columns for c in col for s, a in c.items() if a})
         self.echelon = FqEchelon(A.spec, A.rows * (cap + 1))
-        self.level = -1
+        self.level = top
         self.pivots = [0] * (cap + 1)
 
-    def descend(self):
+    def descend(self, floor: int):
+        """Add the rows of the next level with a nonzero row, or of ``floor``
+        if that comes first: the levels skipped add nothing."""
+        i = bisect.bisect_right(self.exps, self.level)
+        nxt = min(self.level, self.exps[i - 1] + self.cap) if i else floor
+        self.level = max(floor, nxt)
         for coeffs in self.columns:
             p = self.echelon.add(coefficient_row(coeffs, self.level, self.cap) + [0])
             if p is not None:
@@ -262,7 +267,7 @@ def least_levels(A: SeriesMatrix, cap: int, deepest, cols=None):
                 out[h] = None
         if len(out) > cap:
             return [out[h] for h in range(cap + 1)]
-        walk.descend()
+        walk.descend(1 + max(deepest(h) for h in range(cap + 1) if h not in out))
 
 
 def first_vector(A: SeriesMatrix, h: int, level: int, cols=None):
@@ -274,7 +279,7 @@ def first_vector(A: SeriesMatrix, h: int, level: int, cols=None):
     still able to reach degree h."""
     walk = LevelWalk(A, h, level + 1 - h, cols)
     while walk.level > level:
-        walk.descend()
+        walk.descend(level + 1)
     ech, m, spec = walk.echelon, A.rows, A.spec
 
     def viable(i, top):

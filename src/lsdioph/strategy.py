@@ -771,12 +771,12 @@ def certify_bad(
                 f"q = ({', '.join(str(p) for p in q)}) scores {score} <= k^{K_exp}",
                 q,
             )
-        if known_below is not None and int(dist.exponent()) <= known_below + h:
-            raise PrecisionExhausted(
-                f"distance for q = ({', '.join(str(p) for p in q)}) is not "
-                f"pinned above the truncation depth {known_below}"
-            )
-        raise RuntimeError(f"level walk flagged q = {q}, which passes")
+        # only failing vectors are flagged, and a column with no known
+        # fractional digit made exact_dist raise: the distance is not pinned
+        raise PrecisionExhausted(
+            f"distance for q = ({', '.join(str(p) for p in q)}) is not "
+            f"pinned above the truncation depth {known_below}"
+        )
     margin = min(h * m + n * e for h, e in enumerate(levels[0])) - K_exp
     return BadnessCertificate(K_exp, cap, margin, k ** (m * (cap + 1)) - 1)
 

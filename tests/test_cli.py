@@ -364,9 +364,8 @@ def test_negative_cap_and_budget_exit_2_by_name(tmp_path, capsys, argv, flag):
         (("dirichlet", "--matrix", "X^-1"), "the following arguments are required: --t"),
         (("frobnicate",), "argument command: invalid choice: 'frobnicate'"),
         (("badness", "--matrix", "X^-1", "--cap", "two"), "argument --cap: invalid"),
-        ((), "a command is required"),
     ],
-    ids=["missing-flag", "unknown-command", "non-integer-cap", "no-command"],
+    ids=["missing-flag", "unknown-command", "non-integer-cap"],
 )
 def test_argparse_errors_exit_2_with_one_json_line(capsys, argv, message):
     assert exit_code(argv) == 2
@@ -376,6 +375,13 @@ def test_argparse_errors_exit_2_with_one_json_line(capsys, argv, message):
     diag = json.loads(out.err)
     assert diag["error"] == "ArgumentError"
     assert diag["message"].startswith(message)
+
+
+def test_no_command_returns_2_with_help_and_one_json_line(capsys):
+    assert main([]) == 2
+    out = capsys.readouterr()
+    assert "badness" in out.out  # the help lists the subcommands
+    assert json.loads(out.err) == {"error": "ArgumentError", "message": "a command is required"}
 
 
 def test_huge_exponent_is_a_syntax_error(capsys):

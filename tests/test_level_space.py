@@ -2,6 +2,7 @@
 ``first_vector``) and of ``badness_constant`` and ``certify_bad`` built on
 it, against the exhaustive searches they replaced (``oracles.py``)."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from lsdioph.approx import LinearFormSystem, badness_constant, exact_dist, heigh
 from lsdioph.approx import iter_height_class
 from lsdioph.errors import CounterexampleFound, PrecisionExhausted, SearchBudgetExceeded
 from lsdioph.field import FieldSpec, Magnitude, Poly
-from lsdioph.linalg import FqEchelon, first_vector
+from lsdioph.linalg import FqEchelon, first_vector, least_levels
 from lsdioph.series import LaurentSeries, RationalFn, SeriesMatrix, parse_poly, parse_series
 from lsdioph.strategy import StrategyConfig, certify_bad
 
@@ -188,6 +189,27 @@ def test_first_vector_is_the_first_in_enumeration_order(case, level):
         assert first_vector(A, h, level) == expected
 
 
+# X^-3 at cap 0: the least distance k^-3 lies below two levels of zero rows
+GAP = SeriesMatrix(F2, [[LaurentSeries(F2, {-3: 1})]])
+
+
+@SETTINGS
+@given(matrices(), st.integers(-10, 0), st.integers(-2, 2))
+@example((GAP, 0, "exact"), -3, 0)
+@example((GAP, 1, "exact"), -4, 1)
+def test_least_levels_decides_each_height_at_its_stop_level(case, stop, slope):
+    # stop levels at, above and below the least distances, so a height whose
+    # least distance sits exactly at its stop level is None
+    A, cap, kind = case
+    if kind == "truncated":
+        return
+    levels = least_levels(A, cap, lambda h: stop + slope * h)
+    for h in range(cap + 1):
+        least = min(exact_dist(q, A) for q in iter_height_class(A.spec, A.rows, h))
+        e = None if least.is_zero else int(least.exponent())
+        assert levels[h] == (None if e is None or e <= stop + slope * h else e)
+
+
 @SETTINGS
 @given(st.sampled_from(FIELDS), st.integers(1, 6), st.data())
 def test_nullspace_matches_the_old_elimination(spec, ncols, data):
@@ -207,3 +229,16 @@ def test_library_rejects_a_negative_cap_and_budget():
         badness_constant(sys_, Magnitude.power(2, 1), budget=-1)
     with pytest.raises(ValueError, match="cap"):
         certify_bad(sys_.matrix, CFG, Magnitude.power(2, Fraction(-1, 2)))
+
+
+def test_a_deep_sparse_entry_skips_its_empty_levels():
+    # the walk jumps over the levels whose rows are all zero; one row per
+    # level down to X^-10^6 took seconds
+    deep = LaurentSeries(F2, {-(10**6): 1})
+    start = time.perf_counter()
+    K, witness = badness_constant(LinearFormSystem.single(deep), Magnitude.power(2, 1))
+    pair = SeriesMatrix(F2, [[deep], [LaurentSeries(F2, {-(10**6) + 1: 1, -3: 1})]])
+    K2, _ = badness_constant(LinearFormSystem(pair), Magnitude.power(2, 3))
+    assert time.perf_counter() - start < 2
+    assert (K, witness.q) == (Magnitude.power(2, -(10**6)), (Poly.one(F2),))
+    assert K2 == Magnitude.power(2, -(10**6))
