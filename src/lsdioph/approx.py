@@ -1,5 +1,5 @@
-"""Badly-approximable machinery: truncated badness constants read off the
-level spaces of ``linalg`` (no q is enumerated), Dirichlet witnesses, the
+"""Badly-approximable machinery: truncated badness constants and Dirichlet
+witnesses read off the level walk of ``linalg`` (no q is enumerated), the
 hat-matrix reformulation, and continued fractions for a single linear form.
 
 A system of m linear forms in n variables is a matrix A; the quantity of
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PrecisionExhausted, SearchBudgetExceeded, WitnessNotFound
 from .field import FieldSpec, Magnitude, Poly
-from .linalg import first_vector, least_levels
+from .linalg import LevelWalk, first_vector, least_levels
 from .series import (
     LaurentSeries,
     RationalFn,
@@ -214,14 +214,14 @@ def truncation_depth(A: SeriesMatrix):
 
 
 def zero_level(A: SeriesMatrix) -> int:
-    """For exact entries, a level c such that dist(qA) = 0 once qA has no
-    nonzero coefficient from X^-1 down to X^(c+1): D * qA is a polynomial
-    vector for D the product of the denominators."""
+    """A level c such that dist(qA) = 0 once qA has no nonzero coefficient
+    from X^-1 down to X^(c+1), truncated entries read as their known
+    coefficients: D * qA is a polynomial vector for D the product of the
+    denominators."""
     return -1 - sum(
         x.den.degree if isinstance(x, RationalFn) else max(0, -min(x.coeffs, default=0))
         for row in A.entries
         for x in row
-        if x.is_exact
     )
 
 
@@ -241,7 +241,9 @@ def default_dirichlet_constant(m: int, n: int) -> int:
     return 1 if m >= n else 0
 
 
-def dirichlet_witness(sys: LinearFormSystem, t: int, c0: int | None = None) -> ApproxWitness:
+def dirichlet_witness(
+    sys: LinearFormSystem, t: int, c0: int | None = None, budget: int = DEFAULT_SEARCH_BUDGET
+) -> ApproxWitness:
     """A nonzero q with height <= k^t and dist(qA) <= k^(-ceil(tm/n) - c0).
 
     Existence is guaranteed for every A; failure to find one signals a
@@ -257,7 +259,7 @@ def dirichlet_witness(sys: LinearFormSystem, t: int, c0: int | None = None) -> A
     if m == 1 and n == 1:
         witness = _dirichlet_cf(sys, t)
     else:
-        witness = _dirichlet_pigeonhole(sys, t)
+        witness = _dirichlet_pigeonhole(sys, t, budget)
     if witness.dist > required:
         raise WitnessNotFound(
             f"best distance {witness.dist} exceeds required {required}; "
@@ -304,58 +306,47 @@ def exact_dist(q, A: SeriesMatrix) -> Magnitude:
 def _dirichlet_pigeonhole(
     sys: LinearFormSystem, t: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> ApproxWitness:
-    m, n = sys.m, sys.n
-    spec = sys.spec
-    u = -(-(t + 1) * m // n) - 1  # ceil((t+1)m/n) - 1
-    buckets = {}
-    best = None
-    pool = list(iter_polys(spec, t))
-    count = 0
-    for q in itertools.product(pool, repeat=m):
-        if count >= budget:
-            raise SearchBudgetExceeded(
-                f"dirichlet enumeration exceeded the budget of {budget} vectors"
-                f" of height <= k^{t}",
-                count=count,
-            )
-        count += 1
-        key = _frac_window_key(q, sys.matrix, u)
-        if key in buckets:
-            other = buckets[key]
-            diff = tuple(a - b for a, b in zip(q, other))
-            if any(not p.is_zero for p in diff):
-                dist = exact_dist(diff, sys.matrix)
-                h = vec_height(diff)
-                wit = ApproxWitness(diff, h, dist, h**m * dist**n)
-                if best is None or wit.dist < best.dist:
-                    best = wit
-        else:
-            buckets[key] = q
-        if any(not p.is_zero for p in q):
-            dist = exact_dist(q, sys.matrix)
-            hq = vec_height(q)
-            wit = ApproxWitness(q, hq, dist, hq**m * dist**n)
-            if best is None or wit.dist < best.dist:
-                best = wit
-    if best is None:
-        raise WitnessNotFound("no nonzero vector enumerated")
-    return best
+    """The first nonzero q in ``itertools.product(iter_polys(spec, t),
+    repeat=m)`` order with the least dist(qA), read off the level walk: the
+    witness and the errors of the pigeonhole search over those k^(m(t+1))
+    vectors, which ``budget`` bounds in closed form.  Each difference of
+    two vectors that search tried before the first minimiser was that
+    minimiser or farther, so it returned the first minimiser too."""
+    m, n, k, A = sys.m, sys.n, sys.spec.k, sys.matrix
+    # k^(bit_length + 1) > budget, so a huge t costs no huge power
+    if k ** min(m * (t + 1), budget.bit_length() + 1) > budget:
+        raise SearchBudgetExceeded(
+            f"dirichlet enumeration exceeded the budget of {budget} vectors"
+            f" of height <= k^{t}",
+            count=budget,
+        )
+    _check_pinned(A, t, -(-(t + 1) * m // n) - 1)  # ceil((t+1)m/n) - 1
+    zero = zero_level(A)
+    levels = least_levels(A, t, lambda h: zero)
+    q = first_vector(A, t, zero if None in levels else min(levels), exact=False)
+    height, dist = vec_height(q), exact_dist(q, A)
+    return ApproxWitness(q, height, dist, height**m * dist**n)
 
 
-def _frac_window_key(q, A: SeriesMatrix, u: int):
-    return tuple(_frac_digits(vec_dot(q, A.col(j)), u) for j in range(A.cols))
-
-
-def _frac_digits(x, u: int):
-    if isinstance(x, RationalFn):
-        r = x.num % x.den
-        series = RationalFn(r, x.den).to_series(precision=u + 2) if not r.is_zero else None
-        coeffs = {} if series is None else series.coeffs
-    else:
-        coeffs = x.coeffs
-        if x.known_below is not None and x.known_below > -u:
-            raise PrecisionExhausted(f"need coefficients down to X^-{u}")
-    return tuple(coeffs.get(-i, 0) for i in range(1, u + 1))
+def _check_pinned(A: SeriesMatrix, t: int, u: int):
+    """Raise PrecisionExhausted where the pigeonhole search did: where some
+    nonzero q of degree <= t meets truncated entries in a column j, and the
+    precision floor F of q.A_j, the largest deg q_i + known_below over
+    them, lies above X^-u, the window it compared, or leaves no known
+    nonzero coefficient from X^-1 down to X^F.  A q with q_i's X^d
+    coefficient nonzero whose q.A_j vanishes down to X^(d + known_below)
+    vanishes down to its own floor, which is at least as high."""
+    m = A.rows
+    for j in range(A.cols):
+        floors = {i: x.known_below for i, x in enumerate(A.col(j)) if not x.is_exact}
+        levels = sorted({b + d for b in floors.values() for d in range(t + 1)}, reverse=True)
+        walk = LevelWalk(A, t, levels[-1] - t, cols=[j]) if floors else None
+        for F in levels:
+            while walk.level >= F:
+                walk.descend(F)
+            if any(0 <= F - b <= t and (F > -u or walk.echelon.value((F - b) * m + i) != 0)
+                   for i, b in floors.items()):
+                raise PrecisionExhausted(f"column {j} of some q is not known above X^{F}")
 
 
 # ---------------------------------------------------------------------------

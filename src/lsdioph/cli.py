@@ -20,8 +20,6 @@ import sys
 import time
 from fractions import Fraction
 
-from . import dimension as dim
-from . import strategy as strat
 from .approx import (
     LinearFormSystem,
     _exp_or_none,
@@ -41,17 +39,6 @@ from .errors import (
     WitnessNotFound,
 )
 from .field import Magnitude, floor_log
-from .game import (
-    GameParams,
-    GameTranscript,
-    GreedyBlack,
-    RandomBlack,
-    StdinBlack,
-    StopRule,
-    limit_point,
-    play,
-    unit_ball,
-)
 from .geom import (
     Parallelepiped,
     check_duality,
@@ -272,7 +259,7 @@ def _build_parser():
     p.add_argument("--cap", type=nonnegative, required=True, help="height cap exponent")
     p.set_defaults(handler=_cmd_badness, command_path="badness")
 
-    p = sub.add_parser("dirichlet", help="pigeonhole approximation witness")
+    p = sub.add_parser("dirichlet", help="Dirichlet witness, read off the level walk")
     _add_common(p)
     p.add_argument("--matrix", required=True)
     p.add_argument("--t", type=int, required=True)
@@ -475,7 +462,7 @@ def _cmd_badness(args):
 def _cmd_dirichlet(args):
     spec = parse_field(args.field)
     sys_ = _linear_system(args, spec)
-    witness = dirichlet_witness(sys_, args.t, c0=args.c0)
+    witness = dirichlet_witness(sys_, args.t, c0=args.c0, budget=args.budget)
     return {
         "witness": witness.to_json(),
         "t": args.t,
@@ -528,6 +515,7 @@ def _cmd_duality(args):
 
 
 def _make_black(name: str, seed: int):
+    from .game import GreedyBlack, RandomBlack, StdinBlack
     if name == "black-random":
         return RandomBlack(seed)
     if name == "black-greedy":
@@ -538,6 +526,8 @@ def _make_black(name: str, seed: int):
 
 
 def _cmd_game_run(args):
+    from . import strategy as strat
+    from .game import GameParams, StopRule, play, unit_ball
     spec = parse_field(args.field)
     params = GameParams(Fraction(args.alpha), Fraction(args.beta), spec)
     cfg = strat.StrategyConfig(
@@ -572,6 +562,8 @@ def _cmd_game_run(args):
 
 
 def _cmd_certify(args):
+    from . import strategy as strat
+    from .game import GameTranscript, limit_point
     with open(args.transcript) as fh:
         transcript = GameTranscript.from_jsonl(fh.read())
     m, n = transcript.shape
@@ -592,6 +584,7 @@ def _cmd_certify(args):
 
 
 def _cmd_dim_bound(args):
+    from . import dimension as dim
     spec = parse_field(args.field)
     bound = dim.dim_lower_bound(
         Fraction(args.alpha), Fraction(args.beta), args.m, args.n, spec.k
@@ -604,6 +597,7 @@ def _cmd_dim_bound(args):
 
 
 def _cmd_dim_pack(args):
+    from . import dimension as dim
     spec = parse_field(args.field)
     pc = dim.packing_count(Fraction(args.beta), args.m, args.n, spec.k)
     return {
@@ -615,6 +609,7 @@ def _cmd_dim_pack(args):
 
 
 def _cmd_dim_boxcount(args):
+    from . import dimension as dim
     spec = parse_field(args.field)
     rows = []
     for token in args.K_exps.split(","):
@@ -646,6 +641,7 @@ def _cmd_dim_boxcount(args):
 
 
 def _cmd_calibrate_constants(args):
+    from . import strategy as strat
     spec = parse_field(args.field)
     report = strat.calibrate_constants(
         spec,
@@ -668,7 +664,6 @@ def _cmd_calibrate_dirichlet(args):
     import itertools
 
     from .series import LaurentSeries, SeriesMatrix
-
     spec = parse_field(args.field)
     m, n, t = args.m, args.n, args.t
     worst = None

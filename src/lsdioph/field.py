@@ -13,6 +13,7 @@ derived thresholds may have fractional ones, so exponents are stored as
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import DivisionByZero
@@ -340,15 +341,13 @@ def floor_log(value, k: int) -> int:
     value = Fraction(value)
     if value <= 0:
         raise ValueError("floor_log of a nonpositive value")
-    e = 0
-    if value >= 1:
-        while value >= k:
-            value /= k
-            e += 1
-    else:
-        while value < 1:
-            value *= k
-            e -= 1
+    # value lies within a factor 2 of 2^bits: the estimate is off by at most 1
+    bits = value.numerator.bit_length() - value.denominator.bit_length()
+    e = math.floor(bits / math.log2(k))
+    while Fraction(k) ** e > value:
+        e -= 1
+    while Fraction(k) ** (e + 1) <= value:
+        e += 1
     return e
 
 

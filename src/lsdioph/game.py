@@ -14,6 +14,7 @@ transcript; the engine itself never guesses moves.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -279,13 +280,17 @@ def limit_point(t: GameTranscript, precision: int) -> SeriesMatrix:
     last = canonicalize(t.last())
     e = last.effective_exponent()
     if e >= -precision:
-        # one full round shrinks the radius by alpha*beta
-        shrink = t.params.alpha * t.params.beta
-        r = last.radius
-        extra = 0
-        while floor_log(r, t.params.spec.k) >= -precision:
-            r *= shrink
-            extra += 1
+        # one full round shrinks the radius by alpha*beta: bisect for the
+        # fewest rounds that bring it below k^-precision
+        shrink, bound = t.params.alpha * t.params.beta, Fraction(t.params.spec.k) ** -precision
+
+        def below(rounds):
+            return last.radius * shrink**rounds < bound
+
+        hi = 1
+        while not below(hi):
+            hi *= 2
+        extra = bisect.bisect_left(range(hi + 1), True, key=below)
         raise InsufficientDepth(
             f"effective radius k^{e} is too coarse for precision {precision}",
             extra,

@@ -270,42 +270,42 @@ def least_levels(A: SeriesMatrix, cap: int, deepest, cols=None):
         walk.descend(1 + max(deepest(h) for h in range(cap + 1) if h not in out))
 
 
-def first_vector(A: SeriesMatrix, h: int, level: int, cols=None):
+def first_vector(A: SeriesMatrix, h: int, level: int, cols=None, exact=True):
     """The first q in ``iter_height_class`` order of height exactly k^h with
-    dist(qA) <= k^level over the columns ``cols``, or None.  Coefficients
-    are fixed as that order compares them: x^h, x^(h-1), ... down to the
-    first nonzero one, then x^0, x^1, ...; each takes the first value in
+    dist(qA) <= k^level over the columns ``cols``, or None; with ``exact``
+    false, the first nonzero q of height <= k^h in the order of
+    ``itertools.product(iter_polys(spec, h), repeat=m)``.  Coefficients are
+    fixed as both orders compare them: x^h, x^(h-1), ... down to the first
+    nonzero one, then x^0, x^1, ...; each takes the first value in
     ``spec.elements()`` that keeps the system solvable with some coordinate
-    still able to reach degree h."""
+    still able to reach degree h (or to be nonzero)."""
     walk = LevelWalk(A, h, level + 1 - h, cols)
     while walk.level > level:
         walk.descend(level + 1)
     ech, m, spec = walk.echelon, A.rows, A.spec
+    goal = range(h * m if exact else 0, (h + 1) * m)
 
-    def viable(i, top):
-        later = range(i + 1, m)
-        return ech.consistent and (top or any(ech.value(h * m + j) != 0 for j in later))
+    def viable():
+        return ech.consistent and any(ech.value(var) != 0 for var in goal)
 
-    def choose(i, t, top):
-        var = t * m + i
+    def choose(var):
         for v in spec.elements():
             p = ech.add([0] * var + [1] + [0] * (ech.nvars - var - 1) + [v])
-            if viable(i, top or (t == h and v)):
+            if viable():
                 return v
             del ech.rows[p]
 
-    if not viable(-1, False):
+    if not viable():
         return None
-    q, top = [], False
+    q = []
     for i in range(m):
         coeffs = [0] * (h + 1)
         for t in range(h, -1, -1):
-            coeffs[t] = choose(i, t, top)
+            coeffs[t] = choose(t * m + i)
             if coeffs[t]:
                 for u in range(t):
-                    coeffs[u] = choose(i, u, top or t == h)
+                    coeffs[u] = choose(u * m + i)
                 break
-        top = top or coeffs[h] != 0
         q.append(Poly(spec, coeffs))
     return tuple(q)
 

@@ -1,7 +1,9 @@
-"""Code the level walk replaced, kept verbatim as test oracles: the two
-exhaustive searches, which visit every q in ``iter_height_class`` order
-(only the import of PrecisionExhausted is rewritten), and the old F_q
-null space."""
+"""Code the level walk replaced, kept verbatim as test oracles: the three
+exhaustive searches, two of which visit every q in ``iter_height_class``
+order (only the import of PrecisionExhausted is rewritten) and the
+pigeonhole one every q of bounded degree, and the old F_q null space."""
+
+import itertools
 
 from lsdioph.approx import (
     DEFAULT_SEARCH_BUDGET,
@@ -10,10 +12,16 @@ from lsdioph.approx import (
     _floor_int_exponent,
     exact_dist,
     iter_height_class,
+    iter_polys,
 )
-from lsdioph.errors import CounterexampleFound, SearchBudgetExceeded
+from lsdioph.errors import (
+    CounterexampleFound,
+    PrecisionExhausted,
+    SearchBudgetExceeded,
+    WitnessNotFound,
+)
 from lsdioph.field import Magnitude
-from lsdioph.series import SeriesMatrix, vec_dot
+from lsdioph.series import RationalFn, SeriesMatrix, vec_dot, vec_height
 from lsdioph.strategy import BadnessCertificate, StrategyConfig
 
 
@@ -157,3 +165,60 @@ def oracle_fq_nullspace(rows, ncols: int, spec):
             vec[pc] = spec.neg(mat[pr][fc])
         basis.append(vec)
     return basis
+
+
+def oracle_dirichlet_pigeonhole(
+    sys: LinearFormSystem, t: int, budget: int = DEFAULT_SEARCH_BUDGET
+) -> ApproxWitness:
+    m, n = sys.m, sys.n
+    spec = sys.spec
+    u = -(-(t + 1) * m // n) - 1  # ceil((t+1)m/n) - 1
+    buckets = {}
+    best = None
+    pool = list(iter_polys(spec, t))
+    count = 0
+    for q in itertools.product(pool, repeat=m):
+        if count >= budget:
+            raise SearchBudgetExceeded(
+                f"dirichlet enumeration exceeded the budget of {budget} vectors"
+                f" of height <= k^{t}",
+                count=count,
+            )
+        count += 1
+        key = _frac_window_key(q, sys.matrix, u)
+        if key in buckets:
+            other = buckets[key]
+            diff = tuple(a - b for a, b in zip(q, other))
+            if any(not p.is_zero for p in diff):
+                dist = exact_dist(diff, sys.matrix)
+                h = vec_height(diff)
+                wit = ApproxWitness(diff, h, dist, h**m * dist**n)
+                if best is None or wit.dist < best.dist:
+                    best = wit
+        else:
+            buckets[key] = q
+        if any(not p.is_zero for p in q):
+            dist = exact_dist(q, sys.matrix)
+            hq = vec_height(q)
+            wit = ApproxWitness(q, hq, dist, hq**m * dist**n)
+            if best is None or wit.dist < best.dist:
+                best = wit
+    if best is None:
+        raise WitnessNotFound("no nonzero vector enumerated")
+    return best
+
+
+def _frac_window_key(q, A: SeriesMatrix, u: int):
+    return tuple(_frac_digits(vec_dot(q, A.col(j)), u) for j in range(A.cols))
+
+
+def _frac_digits(x, u: int):
+    if isinstance(x, RationalFn):
+        r = x.num % x.den
+        series = RationalFn(r, x.den).to_series(precision=u + 2) if not r.is_zero else None
+        coeffs = {} if series is None else series.coeffs
+    else:
+        coeffs = x.coeffs
+        if x.known_below is not None and x.known_below > -u:
+            raise PrecisionExhausted(f"need coefficients down to X^-{u}")
+    return tuple(coeffs.get(-i, 0) for i in range(1, u + 1))

@@ -212,6 +212,34 @@ def test_calibrate_dirichlet_cli(capsys):
     assert result["matrices_checked"] == 64
 
 
+@pytest.mark.parametrize(
+    "m, n, result",
+    [
+        (2, 1, {"c0": None, "worst_dist_exp": None}),
+        (1, 2, {"c0": 1, "worst_dist_exp": -2}),
+    ],
+)
+def test_calibrate_dirichlet_result_is_unchanged(capsys, m, n, result):
+    # the results of the pigeonhole search the level walk replaced
+    code, out, _ = run_cli(
+        capsys, "calibrate", "dirichlet", "--m", str(m), "--n", str(n), "--t", "2",
+        "--grid-depth", "3", "--no-timestamp",
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == {
+        "t": 2, "grid_depth": 3, "matrices_checked": 64,
+        "provenance": "exhaustive grid oracle", **result,
+    }
+
+
+def test_dirichlet_passes_the_budget_on(capsys):
+    argv = ["dirichlet", "--field", "2", "--matrix", "X^-1; X^-2", "--t", "4", "--no-timestamp"]
+    code, _, err = run_cli(capsys, *argv, "--budget", "1023")
+    assert code == 3
+    assert json.loads(err)["count"] == 1023
+    assert run_cli(capsys, *argv, "--budget", "1024")[0] == 0
+
+
 def test_literal_white_cli(tmp_path, capsys):
     path = tmp_path / "lit.jsonl"
     code, out, _ = run_cli(
@@ -417,9 +445,10 @@ EDGE = ["-1", "0", "99999999999", ""]
 
 @st.composite
 def fuzz_argvs(draw, transcript):
-    """badness, certify or series argvs from formatter output and edge
-    values (negative, zero, huge, empty).  Caps stay at 4 or below, and
-    precisions small: a huge --precision still runs for minutes."""
+    """badness, dirichlet, certify or series argvs from formatter output and
+    edge values (negative, zero, huge, empty).  Caps stay at 4 or below,
+    and series precisions small: a huge --precision still runs for minutes
+    in ``series --op div``."""
     spec = draw(st.sampled_from([FieldSpec(2), FieldSpec(3), FieldSpec(2, 2)]))
     field = str(spec.p) if spec.r == 1 else f"{spec.p}^{spec.r}"
 
@@ -431,23 +460,30 @@ def fuzz_argvs(draw, transcript):
     edge_text = st.sampled_from(["", "X^99999999999", "X^-99999999999", "(", "X^", "1;"])
     text = st.one_of(series, series, edge_text)
     cap = st.sampled_from(["0", "1", "2", "3", "4"] * 2 + ["-1", "", "x"])
-    command = draw(st.sampled_from(["badness", "certify", "series"]))
+    command = draw(st.sampled_from(["badness", "dirichlet", "certify", "series"]))
     flags = {
         "--field": st.sampled_from([field] * 8 + EDGE),
         "--budget": st.sampled_from(["10", "2000000"] + EDGE),
     }
-    if command == "badness":
+    if command in ("badness", "dirichlet"):
         m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
         entry = formatted(st.integers(-6, 0), st.integers(1, spec.k - 1), min_size=1)
         row = st.lists(entry, min_size=n, max_size=n).map(", ".join)
         matrix = st.lists(row, min_size=m, max_size=m).map("; ".join)
         flags["--matrix"] = st.one_of(matrix, matrix, edge_text)
+    if command == "badness":
         flags["--cap"] = cap
         flags["--den"] = text
+    elif command == "dirichlet":
+        # a huge t trips the budget at once: k^(m(t+1)) is never enumerated
+        flags["--t"] = st.sampled_from(["64", "1", "2", "30", "4", "0", "-1", ""])
+        flags["--budget"] = st.sampled_from(["10", "10", "2000000", "0", "-1", ""])
+        flags["--c0"] = st.sampled_from(["1", "0", "5", "-1", ""])
     elif command == "certify":
         flags["--transcript"] = st.sampled_from([transcript] * 3 + [transcript + ".missing"])
         flags["--cap"] = cap
-        flags["--precision"] = st.sampled_from(["8", "8", "30", "-1", "0", ""])
+        precisions = ["1000000", "8", "8", "3000", "30", "-1", "0", ""]
+        flags["--precision"] = st.sampled_from(precisions)
         flags["--R-exp"] = st.sampled_from(["1", "2", "2", "0", "-1"])
     else:
         flags["--x"] = flags["--y"] = text
@@ -455,7 +491,7 @@ def fuzz_argvs(draw, transcript):
         flags["--precision"] = st.sampled_from(["5", "64", "-1", "0", ""])
     argv = [command]
     for flag, values in flags.items():
-        required = flag in ("--field", "--matrix", "--cap", "--transcript", "--x")
+        required = flag in ("--field", "--matrix", "--cap", "--transcript", "--x", "--t")
         if required or not draw(st.integers(0, 3)):
             argv += [flag, draw(values)]
     return argv + ["--no-timestamp"]

@@ -2,6 +2,7 @@
 ``first_vector``) and of ``badness_constant`` and ``certify_bad`` built on
 it, against the exhaustive searches they replaced (``oracles.py``)."""
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import oracle_badness_constant, oracle_certify_bad, oracle_fq_nullspace
 
 from lsdioph.approx import LinearFormSystem, badness_constant, exact_dist, height_class_rank
-from lsdioph.approx import iter_height_class
+from lsdioph.approx import iter_height_class, iter_polys
 from lsdioph.errors import CounterexampleFound, PrecisionExhausted, SearchBudgetExceeded
 from lsdioph.field import FieldSpec, Magnitude, Poly
 from lsdioph.linalg import FqEchelon, first_vector, least_levels
@@ -187,6 +188,11 @@ def test_first_vector_is_the_first_in_enumeration_order(case, level):
             (q for q in iter_height_class(spec, A.rows, h) if exact_dist(q, A) <= bound), None
         )
         assert first_vector(A, h, level) == expected
+    # up to height k^cap, in the order of the Dirichlet pigeonhole search
+    vectors = itertools.product(iter_polys(spec, cap), repeat=A.rows)
+    nonzero = (q for q in vectors if any(not p.is_zero for p in q))
+    expected = next((q for q in nonzero if exact_dist(q, A) <= bound), None)
+    assert first_vector(A, cap, level, exact=False) == expected
 
 
 # X^-3 at cap 0: the least distance k^-3 lies below two levels of zero rows
