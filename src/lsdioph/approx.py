@@ -333,14 +333,17 @@ def _check_pinned(A: SeriesMatrix, t: int, u: int):
     nonzero q of degree <= t meets truncated entries in a column j, and the
     precision floor F of q.A_j, the largest deg q_i + known_below over
     them, lies above X^-u, the window it compared, or leaves no known
-    nonzero coefficient from X^-1 down to X^F.  A q with q_i's X^d
-    coefficient nonzero whose q.A_j vanishes down to X^(d + known_below)
-    vanishes down to its own floor, which is at least as high."""
+    nonzero coefficient from X^-1 down to X^F.  It is enough to ask, per
+    truncated row i and degree d, whether some q with q_i's X^d coefficient
+    nonzero has q.A_j vanish down to X^(d + known_below): such a q
+    vanishes down to its own floor, which lies at least as high."""
     m = A.rows
     for j in range(A.cols):
         floors = {i: x.known_below for i, x in enumerate(A.col(j)) if not x.is_exact}
+        if not floors:
+            continue
         levels = sorted({b + d for b in floors.values() for d in range(t + 1)}, reverse=True)
-        walk = LevelWalk(A, t, levels[-1] - t, cols=[j]) if floors else None
+        walk = LevelWalk(A, t, levels[-1] - t, cols=[j])
         for F in levels:
             while walk.level >= F:
                 walk.descend(F)

@@ -664,6 +664,7 @@ def _cmd_calibrate_dirichlet(args):
     import itertools
 
     from .series import LaurentSeries, SeriesMatrix
+
     spec = parse_field(args.field)
     m, n, t = args.m, args.n, args.t
     worst = None

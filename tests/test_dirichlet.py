@@ -1,6 +1,7 @@
 """Differential tests of the Dirichlet witness read off the level walk
-against the pigeonhole search it replaced (``oracles.py``), and of the
-closed forms that replaced two loops counting exponents."""
+against the pigeonhole search it replaced (``oracles.py``), and of
+``floor_log`` and ``limit_point`` against the loops they replaced, which
+stepped once per unit of exponent and once per round."""
 
 from fractions import Fraction
 
@@ -64,8 +65,8 @@ def dirichlet_outcome(fn, A, t, budget=DEFAULT_SEARCH_BUDGET):
 
 # a column of X^-1 + O(X^-5) twice: q = (1, 1) cancels every known digit
 CANCEL = SeriesMatrix(F2, [[LaurentSeries(F2, {-1: 1}, -5)], [LaurentSeries(F2, {-1: 1}, -5)]])
-# X^-1 + O(X^-9) above an exact row: the pigeonhole window X^-1..X^-2 at
-# t = 1 is known, and every q meeting the truncated entry has a known digit
+# X^-1 + X^-4 + O(X^-9) above an exact row: the pigeonhole window
+# X^-1..X^-3 at t = 1 is known, and every q meeting the truncated entry has a known digit
 PINNED = SeriesMatrix(F2, [[LaurentSeries(F2, {-1: 1, -4: 1}, -9)], [LaurentSeries(F2, {-2: 1})]])
 
 # X^-2 + O(X^-3) over X^-5 at t = 1: q = (X, 0) has its floor X^-2 above
