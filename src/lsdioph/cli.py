@@ -47,6 +47,7 @@ from .geom import (
     successive_minima,
 )
 from .series import (
+    MAX_EXPONENT,
     RationalFn,
     format_matrix,
     format_series,
@@ -215,6 +216,13 @@ def nonnegative(text):
     return value
 
 
+def precision(text):
+    value = int(text)
+    if value > MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_EXPONENT}, got {value}")
+    return value
+
+
 def _add_common(p):
     p.add_argument("--field", default="2", help="p, p^r, or p^r:modulus")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -241,7 +249,7 @@ def _build_parser():
     p.add_argument("--x", required=True)
     p.add_argument("--y")
     p.add_argument("--op", choices=["add", "sub", "mul", "div"], default="add")
-    p.add_argument("--precision", type=int, default=64)
+    p.add_argument("--precision", type=precision, default=64)
     p.set_defaults(handler=_cmd_series, command_path="series")
 
     p = sub.add_parser("cf", help="continued fraction expansion")
@@ -316,7 +324,7 @@ def _build_parser():
     p.add_argument("--transcript", required=True)
     p.add_argument("--cap", type=nonnegative, required=True)
     p.add_argument("--R-exp", type=int, default=2)
-    p.add_argument("--precision", type=int, default=30)
+    p.add_argument("--precision", type=precision, default=30)
     p.set_defaults(handler=_cmd_certify, command_path="certify")
 
     dimp = sub.add_parser("dim", help="dimension bounds and counts")
@@ -681,7 +689,7 @@ def _cmd_calibrate_dirichlet(args):
                 idx += 1
             entries.append(row)
         sys_ = LinearFormSystem(SeriesMatrix(spec, entries))
-        wit = dirichlet_witness(sys_, t, c0=-10)  # never rejects; we measure
+        wit = dirichlet_witness(sys_, t, c0=-10, budget=args.budget)  # never rejects
         checked += 1
         d = wit.dist
         if not d.is_zero and (worst is None or d > worst):

@@ -6,9 +6,9 @@ of the int are the coefficients of the element in the power basis of a fixed
 irreducible modulus.  All operations are exact; nothing here ever rounds.
 
 ``Magnitude`` is the value group of the non-Archimedean absolute value: zero
-or a symbolic power k^e.  Attained norms always have integer exponents, but
-derived thresholds may have fractional ones, so exponents are stored as
-``Fraction`` and compared exactly.
+or a symbolic power k^e.  Attained norms always have integer exponents, kept
+as ``int``; derived thresholds may have fractional ones, kept as
+``Fraction``.  Both compare exactly.
 """
 
 from __future__ import annotations
@@ -246,7 +246,10 @@ class Magnitude:
 
     def __init__(self, k: int, exp):
         self.k = k
-        self.exp = exp if exp is None else Fraction(exp)
+        if exp is not None and type(exp) is not int:
+            exp = Fraction(exp)
+            exp = exp.numerator if exp.denominator == 1 else exp
+        self.exp = exp
 
     @classmethod
     def zero(cls, k: int) -> "Magnitude":
@@ -254,13 +257,14 @@ class Magnitude:
 
     @classmethod
     def power(cls, k: int, exp) -> "Magnitude":
-        return cls(k, Fraction(exp))
+        return cls(k, exp)
 
     @property
     def is_zero(self) -> bool:
         return self.exp is None
 
-    def exponent(self) -> Fraction:
+    def exponent(self) -> int | Fraction:
+        """The exponent e of k^e: an ``int`` when integral, else a ``Fraction``."""
         if self.exp is None:
             raise ValueError("zero magnitude has no exponent")
         return self.exp
@@ -276,7 +280,7 @@ class Magnitude:
     def root(self, n: int) -> "Magnitude":
         if self.exp is None:
             return self
-        return Magnitude(self.k, self.exp / n)
+        return Magnitude(self.k, Fraction(self.exp, n))
 
     def _check(self, other):
         if not isinstance(other, Magnitude):
@@ -337,18 +341,22 @@ class Magnitude:
 
 
 def floor_log(value, k: int) -> int:
-    """Largest integer e with k^e <= value, for an exact positive rational."""
-    value = Fraction(value)
-    if value <= 0:
+    """Largest integer e with k^e <= value, for a positive int or Fraction."""
+    a, b = value.numerator, value.denominator
+    if a <= 0:
         raise ValueError("floor_log of a nonpositive value")
-    # value lies within a factor 2 of 2^bits: the estimate is off by at most 1
-    bits = value.numerator.bit_length() - value.denominator.bit_length()
-    e = math.floor(bits / math.log2(k))
-    while Fraction(k) ** e > value:
+    # a/b lies within a factor 2 of 2^bits: the estimate is off by at most 1
+    e = math.floor((a.bit_length() - b.bit_length()) / math.log2(k))
+    while not _power_at_most(k, e, a, b):
         e -= 1
-    while Fraction(k) ** (e + 1) <= value:
+    while _power_at_most(k, e + 1, a, b):
         e += 1
     return e
+
+
+def _power_at_most(k: int, e: int, a: int, b: int) -> bool:
+    """k^e <= a/b, in integers."""
+    return k**e * b <= a if e >= 0 else b <= a * k**-e
 
 
 class Poly:

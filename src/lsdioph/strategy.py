@@ -86,15 +86,28 @@ class StrategyConfig:
             return max(0, -((fl + self.R_exp * self.m) // step))
         return max(0, -(fl // step) - 1)
 
-    def window_exponent(self, kind: str, i: int) -> Fraction:
+    def window_exponent(self, kind: str, i: int) -> int | Fraction:
         if kind == "k":
             return self.delta_exp + self.R_exp * self.n * (self.tau + i)
-        return Fraction(self.delta_star_exp + self.R_exp * self.m * (1 + i))
+        return self.delta_star_exp + self.R_exp * self.m * (1 + i)
 
-    def threshold_exponent(self, kind: str, i: int) -> Fraction:
+    def threshold_exponent(self, kind: str, i: int) -> int | Fraction:
         if kind == "k":
             return self.delta_exp - self.R_exp * (self.m * (self.tau + i) + self.n)
-        return Fraction(self.delta_star_exp - self.R_exp * (self.n * (1 + i) + self.m))
+        return self.delta_star_exp - self.R_exp * (self.n * (1 + i) + self.m)
+
+    def admitted_heights(self, kind: str) -> tuple:
+        """Rows ``(h, i, thr_exp, thr)`` for h = 0..height cap: i is the lowest
+        level whose window admits height k^h, thr = k^thr_exp its threshold.
+        Windows grow with i, so i does not decrease along the rows."""
+        rows = []
+        i = 0
+        while len(rows) <= self.height_cap_exp:
+            top = min(_ceil_minus_one(self.window_exponent(kind, i)), self.height_cap_exp)
+            thr = Magnitude(self.spec.k, self.threshold_exponent(kind, i))
+            rows += [(h, i, thr.exp, thr) for h in range(len(rows), top + 1)]
+            i += 1
+        return tuple(rows)
 
     def first_block(self, kind: str) -> int:
         """Coordinates constrained by the height window (they multiply the
@@ -151,7 +164,7 @@ def check_inequalities(
     if all(p.is_zero for p in head):
         return False
     height = max((p.degree for p in head if not p.is_zero), default=-1)
-    if not Fraction(height) < cfg.window_exponent(kind, i):
+    if not height < cfg.window_exponent(kind, i):
         return False
     hats = build_hat(LinearFormSystem(A))
     hat = hats.hat if kind == "k" else hats.hat_star
@@ -505,6 +518,7 @@ class AvoidanceWhite:
 
     def __init__(self, cfg: StrategyConfig):
         self.cfg = cfg
+        self._admitted = {kind: cfg.admitted_heights(kind) for kind in ("k", "h")}
         self._live = {}  # (kind, h) -> first blocks of height k^h not yet pinned safe
         self.dodges = 0
 
@@ -524,28 +538,24 @@ class AvoidanceWhite:
         radius = min(b.radius for b in t.black_balls())
         out = []
         for kind in ("k", "h"):
-            lo = 0
-            for i in range(cfg.marker_level(kind, radius) + LOOKAHEAD + 1):
-                window = cfg.window_exponent(kind, i)
-                top = min(_ceil_minus_one(window), cfg.height_cap_exp)
-                thr_exp = cfg.threshold_exponent(kind, i)
-                thr = Magnitude(k, thr_exp)
-                for h in range(lo, top + 1):
-                    if (kind, h) not in self._live:
-                        self._live[(kind, h)] = list(
-                            iter_height_class(spec, cfg.first_block(kind), h)
-                        )
-                    pert = Magnitude.power(k, h + e)
-                    live = []
-                    for q_first in self._live[(kind, h)]:
-                        values = _block_values(prev.center, kind, q_first)
-                        fracs = [v.frac_norm() for v in values]
-                        if any(f > pert and f >= thr for f in fracs):
-                            continue
-                        live.append(q_first)
-                        out.append((kind, q_first, h, values, thr_exp))
-                    self._live[(kind, h)] = live
-                lo = max(lo, top + 1)
+            stop = cfg.marker_level(kind, radius) + LOOKAHEAD + 1
+            for h, i, thr_exp, thr in self._admitted[kind]:
+                if i >= stop:
+                    break
+                if (kind, h) not in self._live:
+                    self._live[(kind, h)] = list(
+                        iter_height_class(spec, cfg.first_block(kind), h)
+                    )
+                pert = Magnitude.power(k, h + e)
+                live = []
+                for q_first in self._live[(kind, h)]:
+                    values = _block_values(prev.center, kind, q_first)
+                    fracs = [v.frac_norm() for v in values]
+                    if any(f > pert and f >= thr for f in fracs):
+                        continue
+                    live.append(q_first)
+                    out.append((kind, q_first, h, values, thr_exp))
+                self._live[(kind, h)] = live
         return out
 
     def propose(self, t: GameTranscript) -> FormalBall:
@@ -587,7 +597,7 @@ class AvoidanceWhite:
         k = self.cfg.spec.k
         pert = Magnitude.power(k, h + e_sub)
         moved = _block_values(shift, kind, q_first)
-        best = Fraction(-(10**9))
+        best = -(10**9)
         for v, s in zip(values, moved):
             f = (v + s).frac_norm()
             if f <= pert:

@@ -1,9 +1,12 @@
 """Code the level walk replaced, kept verbatim as test oracles: the three
 exhaustive searches, two of which visit every q in ``iter_height_class``
 order (only the import of PrecisionExhausted is rewritten) and the
-pigeonhole one every q of bounded degree, and the old F_q null space."""
+pigeonhole one every q of bounded degree, and the old F_q null space.
+Also the ``Magnitude`` that stored every exponent as a ``Fraction``,
+renamed ``OracleMagnitude`` and otherwise verbatim."""
 
 import itertools
+from fractions import Fraction
 
 from lsdioph.approx import (
     DEFAULT_SEARCH_BUDGET,
@@ -16,6 +19,7 @@ from lsdioph.approx import (
 )
 from lsdioph.errors import (
     CounterexampleFound,
+    DivisionByZero,
     PrecisionExhausted,
     SearchBudgetExceeded,
     WitnessNotFound,
@@ -222,3 +226,104 @@ def _frac_digits(x, u: int):
         if x.known_below is not None and x.known_below > -u:
             raise PrecisionExhausted(f"need coefficients down to X^-{u}")
     return tuple(coeffs.get(-i, 0) for i in range(1, u + 1))
+
+
+class OracleMagnitude:
+    """Zero or an exact power k^e of the residue field size.
+
+    Totally ordered; multiplication adds exponents.  Zero is the least
+    element and absorbs multiplication.
+    """
+
+    __slots__ = ("k", "exp")
+
+    def __init__(self, k: int, exp):
+        self.k = k
+        self.exp = exp if exp is None else Fraction(exp)
+
+    @classmethod
+    def zero(cls, k: int) -> "OracleMagnitude":
+        return cls(k, None)
+
+    @classmethod
+    def power(cls, k: int, exp) -> "OracleMagnitude":
+        return cls(k, Fraction(exp))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.exp is None
+
+    def exponent(self) -> Fraction:
+        if self.exp is None:
+            raise ValueError("zero magnitude has no exponent")
+        return self.exp
+
+    def as_fraction(self) -> Fraction:
+        if self.exp is None:
+            return Fraction(0)
+        if self.exp.denominator != 1:
+            raise ValueError(f"k^{self.exp} is not rational")
+        e = int(self.exp)
+        return Fraction(self.k**e) if e >= 0 else Fraction(1, self.k**-e)
+
+    def root(self, n: int) -> "OracleMagnitude":
+        if self.exp is None:
+            return self
+        return OracleMagnitude(self.k, self.exp / n)
+
+    def _check(self, other):
+        if not isinstance(other, OracleMagnitude):
+            raise TypeError(f"cannot combine Magnitude with {type(other).__name__}")
+        if other.k != self.k:
+            raise ValueError("magnitudes over different fields")
+
+    def __mul__(self, other):
+        self._check(other)
+        if self.exp is None or other.exp is None:
+            return OracleMagnitude.zero(self.k)
+        return OracleMagnitude(self.k, self.exp + other.exp)
+
+    def __truediv__(self, other):
+        self._check(other)
+        if other.exp is None:
+            raise DivisionByZero("division by zero magnitude")
+        if self.exp is None:
+            return self
+        return OracleMagnitude(self.k, self.exp - other.exp)
+
+    def __pow__(self, n: int):
+        if self.exp is None:
+            if n <= 0:
+                raise DivisionByZero("0 ** nonpositive")
+            return self
+        return OracleMagnitude(self.k, self.exp * n)
+
+    def __lt__(self, other):
+        self._check(other)
+        if self.exp is None:
+            return other.exp is not None
+        if other.exp is None:
+            return False
+        return self.exp < other.exp
+
+    def __le__(self, other):
+        return self < other or self == other
+
+    def __gt__(self, other):
+        return not self <= other
+
+    def __ge__(self, other):
+        return not self < other
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, OracleMagnitude) and self.k == other.k and self.exp == other.exp
+        )
+
+    def __hash__(self):
+        return hash((self.k, self.exp))
+
+    def __repr__(self):
+        if self.exp is None:
+            return "0"
+        return f"{self.k}^{self.exp}"

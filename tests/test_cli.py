@@ -232,6 +232,15 @@ def test_calibrate_dirichlet_result_is_unchanged(capsys, m, n, result):
     }
 
 
+def test_calibrate_dirichlet_passes_the_budget_on(capsys):
+    code, out, err = run_cli(
+        capsys, "calibrate", "dirichlet", "--m", "2", "--n", "1", "--t", "1",
+        "--grid-depth", "2", "--budget", "0", "--no-timestamp",
+    )
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "SearchBudgetExceeded"
+
+
 def test_dirichlet_passes_the_budget_on(capsys):
     argv = ["dirichlet", "--field", "2", "--matrix", "X^-1; X^-2", "--t", "4", "--no-timestamp"]
     code, _, err = run_cli(capsys, *argv, "--budget", "1023")
@@ -387,6 +396,35 @@ def test_negative_cap_and_budget_exit_2_by_name(tmp_path, capsys, argv, flag):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("series", "--x", "1", "--y", "X + 1", "--op", "div", "--precision", "1000001"),
+        ("certify", "--transcript", "{transcript}", "--cap", "1", "--precision", "10000000"),
+    ],
+    ids=["series", "certify"],
+)
+def test_precision_beyond_the_exponent_bound_exits_2_by_name(tmp_path, capsys, argv):
+    transcript = _small_transcript(tmp_path, capsys)
+    assert exit_code([a.format(transcript=transcript) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    value = argv[-1]
+    assert json.loads(out.err) == {
+        "error": "ArgumentError",
+        "message": f"argument --precision: must be <= 1000000, got {value}",
+    }
+
+
+def test_precision_at_the_exponent_bound_keeps_its_output(capsys):
+    code, out, _ = run_cli(
+        capsys, "series", "--x", "X^-1", "--y", "X", "--op", "div",
+        "--precision", "1000000", "--no-timestamp",
+    )
+    assert code == 0
+    assert json.loads(out)["result"]["value_norm_exp"] == -2
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("dirichlet", "--matrix", "X^-1"), "the following arguments are required: --t"),
@@ -447,8 +485,8 @@ EDGE = ["-1", "0", "99999999999", ""]
 def fuzz_argvs(draw, transcript):
     """badness, dirichlet, certify or series argvs from formatter output and
     edge values (negative, zero, huge, empty).  Caps stay at 4 or below,
-    and series precisions small: a huge --precision still runs for minutes
-    in ``series --op div``."""
+    and series precisions small or beyond the 10^6 bound: up to it, a
+    quotient that does not terminate takes one division step per unit."""
     spec = draw(st.sampled_from([FieldSpec(2), FieldSpec(3), FieldSpec(2, 2)]))
     field = str(spec.p) if spec.r == 1 else f"{spec.p}^{spec.r}"
 
@@ -488,10 +526,13 @@ def fuzz_argvs(draw, transcript):
     else:
         flags["--x"] = flags["--y"] = text
         flags["--op"] = st.sampled_from(["add", "sub", "mul", "div", ""])
-        flags["--precision"] = st.sampled_from(["5", "64", "-1", "0", ""])
+        flags["--precision"] = st.sampled_from(
+            ["5", "64", "-1", "0", "", "1000001", "99999999999"]
+        )
     argv = [command]
     for flag, values in flags.items():
         required = flag in ("--field", "--matrix", "--cap", "--transcript", "--x", "--t")
+        required |= command == "series" and flag in ("--op", "--precision")
         if required or not draw(st.integers(0, 3)):
             argv += [flag, draw(values)]
     return argv + ["--no-timestamp"]

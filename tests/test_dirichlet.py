@@ -140,7 +140,7 @@ def old_floor_log(value, k):
 
 @SETTINGS
 @given(
-    st.sampled_from([2, 3, 4, 8, 9, 25]),
+    st.sampled_from([2, 3, 4, 5, 8, 9, 25, 27]),
     st.integers(-80, 80),
     st.sampled_from([Fraction(1), Fraction(999, 1000), Fraction(1001, 1000), Fraction(7, 3)]),
     st.fractions(min_value=Fraction(1, 10**6), max_value=10**6),
@@ -148,6 +148,8 @@ def old_floor_log(value, k):
 def test_floor_log_matches_the_loop(k, e, near, other):
     for value in (Fraction(k) ** e * near, other):
         assert floor_log(value, k) == old_floor_log(value, k)
+        if value.denominator == 1:
+            assert floor_log(value.numerator, k) == old_floor_log(value, k)
 
 
 @pytest.mark.parametrize("precision", [7, 40, 200])

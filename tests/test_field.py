@@ -1,10 +1,15 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from lsdioph.approx import _exp_or_none
 from lsdioph.errors import DivisionByZero
 from lsdioph.field import BUILTIN_MODULI, FieldSpec, Magnitude, Poly, floor_log
+from oracles import OracleMagnitude
 
 
 def test_prime_field_axioms_exhaustive():
@@ -130,3 +135,53 @@ def test_floor_log_exact():
     assert floor_log(Fraction(26, 27), 3) == -1
     with pytest.raises(ValueError):
         floor_log(Fraction(0), 2)
+    assert floor_log(1, 2) == 0 and floor_log(26, 3) == 2
+
+
+EXPONENTS = st.one_of(
+    st.none(),
+    st.integers(-40, 40),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6)),
+)
+
+
+def _outcome(op):
+    """What an operation gives, comparable across the two classes: the
+    value's repr, hash and exponent JSON, or the exception type."""
+    try:
+        x = op()
+    except (ValueError, DivisionByZero) as exc:
+        return type(exc)
+    if isinstance(x, (Magnitude, OracleMagnitude)):
+        return repr(x), hash(x), x.is_zero, json.dumps(_exp_or_none(x), default=str)
+    return x
+
+
+@given(
+    k=st.sampled_from([2, 3, 4, 9]),
+    a=EXPONENTS,
+    b=EXPONENTS,
+    power=st.integers(-3, 3),
+    root=st.integers(1, 6),
+)
+def test_magnitude_matches_the_fraction_oracle(k, a, b, power, root):
+    new = (Magnitude(k, a), Magnitude(k, b))
+    old = (OracleMagnitude(k, a), OracleMagnitude(k, b))
+    ops = [
+        lambda x, y: x,
+        lambda x, y: x < y,
+        lambda x, y: x <= y,
+        lambda x, y: x == y,
+        lambda x, y: hash(x) == hash(y),
+        lambda x, y: x * y,
+        lambda x, y: x / y,
+        lambda x, y: x**power,
+        lambda x, y: x.root(root),
+        lambda x, y: x.as_fraction(),
+        lambda x, y: x.exponent(),
+    ]
+    for op in ops:
+        assert _outcome(lambda: op(*new)) == _outcome(lambda: op(*old))
+    for x in new:
+        if not x.is_zero and x.exponent().denominator == 1:
+            assert type(x.exponent()) is int

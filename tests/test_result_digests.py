@@ -1,8 +1,8 @@
-"""The first round of the benchmark's seed-0 jobs, run and checked the way
-`perfbench/run.py` does it: every job's output passes its closed-form check
-and its result digest matches the one recorded in `perfbench/digests.json`,
-so a change to any `result` payload fails here, not only in a full
-benchmark run."""
+"""The first recorded rounds of the benchmark's seed-0 jobs, run and checked
+the way `perfbench/run.py` does it: every job's output passes its
+closed-form check and its result digest matches the one recorded in
+`perfbench/digests.json`, so a change to any `result` payload fails here,
+not only in a full benchmark run."""
 
 import json
 import os
@@ -18,16 +18,20 @@ if PERFBENCH not in sys.path:
 import run  # noqa: E402  (needs PERFBENCH on sys.path)
 import workloads  # noqa: E402
 
+# Five rounds of game-certify and search are 100 and 160 jobs, 2-3 s each
+# on a 2-core host; one boxcount round already takes about 2 s.
+ROUNDS = {"game-certify": 5, "search": 5, "boxcount": 1}
+
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
-def test_first_round_matches_the_recorded_digests(workload, tmp_path, monkeypatch):
+def test_first_rounds_match_the_recorded_digests(workload, tmp_path, monkeypatch):
     # game jobs write their transcript to a relative path: keep it out of the checkout
     monkeypatch.chdir(tmp_path)
     os.makedirs(os.path.dirname(workloads.TRANSCRIPT), exist_ok=True)
     with open(run.DIGESTS) as fh:
         recorded = json.load(fh)[workload]
     cli = run.import_program()
-    jobs = workloads.make_round(workload, run.DEFAULT_SEED, 0)
+    jobs = workloads.make_jobs(workload, run.DEFAULT_SEED, ROUNDS[workload])
     got = []
     for job in jobs:
         _latency, outputs, error = run.run_job(cli, job)

@@ -32,6 +32,7 @@ from lsdioph.series import (
     vec_dot,
 )
 from lsdioph.strategy import (
+    LOOKAHEAD,
     AvoidanceWhite,
     _block_values,
     _ceil_minus_one,
@@ -1021,3 +1022,45 @@ def test_marker_level_matches_the_rescan(field, m, n, R_exp, num, den_exp, kind)
     cfg = StrategyConfig(spec, m, n, R_exp=R_exp)
     radius = Fraction(num, spec.k**den_exp)
     assert cfg.marker_level(kind, radius) == _rescan_marker_level(cfg, kind, radius)
+
+
+def _level_loop_heights(cfg, kind, marker_level):
+    """The level loop ``active_dangers`` ran before the admitted-height
+    table, with its scan replaced by a record of (h, level, threshold
+    exponent) in the order it scanned them."""
+    out = []
+    lo = 0
+    for i in range(marker_level + LOOKAHEAD + 1):
+        window = cfg.window_exponent(kind, i)
+        top = min(_ceil_minus_one(window), cfg.height_cap_exp)
+        thr_exp = cfg.threshold_exponent(kind, i)
+        for h in range(lo, top + 1):
+            out.append((h, i, thr_exp))
+        lo = max(lo, top + 1)
+    return out
+
+
+@given(
+    field=st.sampled_from([(2, 1), (3, 1), (2, 2)]),
+    m=st.integers(1, 3),
+    n=st.integers(1, 3),
+    R_exp=st.integers(1, 3),
+    cap=st.integers(-1, 40),
+    den_exp=st.integers(0, 4000),
+    kind=st.sampled_from(["k", "h"]),
+)
+# the deepest marker levels: 200 and above at the steepest step
+@example(field=(2, 1), m=3, n=3, R_exp=3, cap=40, den_exp=4000, kind="k")
+@example(field=(2, 1), m=3, n=3, R_exp=3, cap=40, den_exp=4000, kind="h")
+def test_admitted_heights_match_the_level_loop(field, m, n, R_exp, cap, den_exp, kind):
+    spec = FieldSpec(*field)
+    cfg = StrategyConfig(spec, m, n, R_exp=R_exp, height_cap_exp=cap)
+    marker_level = cfg.marker_level(kind, Fraction(1, spec.k**den_exp))
+    stop = marker_level + LOOKAHEAD + 1
+    rows = cfg.admitted_heights(kind)
+    walked = list(itertools.takewhile(lambda row: row[1] < stop, rows))
+    assert [(h, i, thr_exp) for h, i, thr_exp, _thr in walked] == _level_loop_heights(
+        cfg, kind, marker_level
+    )
+    assert [h for h, *_ in rows] == list(range(cap + 1))
+    assert all(thr == Magnitude(spec.k, thr_exp) for _h, _i, thr_exp, thr in rows)
