@@ -341,7 +341,10 @@ class Magnitude:
 
 
 def floor_log(value, k: int) -> int:
-    """Largest integer e with k^e <= value, for a positive int or Fraction."""
+    """Largest integer e with k^e <= value, for any positive value that
+    ``Fraction`` accepts."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
     a, b = value.numerator, value.denominator
     if a <= 0:
         raise ValueError("floor_log of a nonpositive value")

@@ -51,6 +51,8 @@ class StrategyConfig:
     height_cap_exp: int = 4
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise ValueError("m and n must be >= 1")
         if self.R_exp < 1:
             raise ValueError("R must be a k-power > 1")
 
@@ -95,19 +97,6 @@ class StrategyConfig:
         if kind == "k":
             return self.delta_exp - self.R_exp * (self.m * (self.tau + i) + self.n)
         return self.delta_star_exp - self.R_exp * (self.n * (1 + i) + self.m)
-
-    def admitted_heights(self, kind: str) -> tuple:
-        """Rows ``(h, i, thr_exp, thr)`` for h = 0..height cap: i is the lowest
-        level whose window admits height k^h, thr = k^thr_exp its threshold.
-        Windows grow with i, so i does not decrease along the rows."""
-        rows = []
-        i = 0
-        while len(rows) <= self.height_cap_exp:
-            top = min(_ceil_minus_one(self.window_exponent(kind, i)), self.height_cap_exp)
-            thr = Magnitude(self.spec.k, self.threshold_exponent(kind, i))
-            rows += [(h, i, thr.exp, thr) for h in range(len(rows), top + 1)]
-            i += 1
-        return tuple(rows)
 
     def first_block(self, kind: str) -> int:
         """Coordinates constrained by the height window (they multiply the
@@ -518,7 +507,8 @@ class AvoidanceWhite:
 
     def __init__(self, cfg: StrategyConfig):
         self.cfg = cfg
-        self._admitted = {kind: cfg.admitted_heights(kind) for kind in ("k", "h")}
+        self._rows = {"k": [], "h": []}  # admitted-height rows, see _admitted
+        self._next_level = {"k": 0, "h": 0}
         self._live = {}  # (kind, h) -> first blocks of height k^h not yet pinned safe
         self.dodges = 0
 
@@ -539,7 +529,7 @@ class AvoidanceWhite:
         out = []
         for kind in ("k", "h"):
             stop = cfg.marker_level(kind, radius) + LOOKAHEAD + 1
-            for h, i, thr_exp, thr in self._admitted[kind]:
+            for h, i, thr in self._admitted(kind, stop):
                 if i >= stop:
                     break
                 if (kind, h) not in self._live:
@@ -554,9 +544,25 @@ class AvoidanceWhite:
                     if any(f > pert and f >= thr for f in fracs):
                         continue
                     live.append(q_first)
-                    out.append((kind, q_first, h, values, thr_exp))
+                    out.append((kind, q_first, h, values, thr.exponent()))
                 self._live[(kind, h)] = live
         return out
+
+    def _admitted(self, kind: str, stop: int) -> list:
+        """Rows ``(h, i, thr)`` for the heights up to the cap that levels below
+        ``stop`` admit: i is the lowest level whose window admits height k^h,
+        thr its threshold.  Windows grow with i, so i does not decrease along
+        the rows; they are extended only as far as the game has reached."""
+        cfg = self.cfg
+        rows = self._rows[kind]
+        i = self._next_level[kind]
+        while i < stop and len(rows) <= cfg.height_cap_exp:
+            top = min(_ceil_minus_one(cfg.window_exponent(kind, i)), cfg.height_cap_exp)
+            thr = Magnitude(cfg.spec.k, cfg.threshold_exponent(kind, i))
+            rows.extend((h, i, thr) for h in range(len(rows), top + 1))
+            i += 1
+        self._next_level[kind] = i
+        return rows
 
     def propose(self, t: GameTranscript) -> FormalBall:
         cfg = self.cfg

@@ -241,6 +241,29 @@ def test_calibrate_dirichlet_passes_the_budget_on(capsys):
     assert json.loads(err)["error"] == "SearchBudgetExceeded"
 
 
+@pytest.mark.parametrize("flag", ["--m", "--n"])
+def test_game_run_rejects_an_empty_block(capsys, flag):
+    # a window that does not grow with the level would never admit a height
+    code, out, err = run_cli(
+        capsys, "game", "run", "--alpha", "1/2", "--beta", "1/2", flag, "0",
+        "--no-timestamp",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["message"] == "m and n must be >= 1"
+
+
+def test_game_run_work_follows_the_game_not_the_cap(capsys):
+    # heights are admitted only as deep as the game reaches, so a huge cap
+    # plays the same short game as a modest one
+    argv = ["game", "run", "--alpha", "1/2", "--beta", "1/2", "--rounds", "4", "--no-timestamp"]
+    games = []
+    for cap in ("40", str(10**9)):
+        code, out, _ = run_cli(capsys, *argv, "--cap", cap)
+        assert code == 0
+        games.append(json.loads(out)["result"]["transcript"])
+    assert games[0] == games[1]
+
+
 def test_dirichlet_passes_the_budget_on(capsys):
     argv = ["dirichlet", "--field", "2", "--matrix", "X^-1; X^-2", "--t", "4", "--no-timestamp"]
     code, _, err = run_cli(capsys, *argv, "--budget", "1023")
@@ -483,10 +506,11 @@ EDGE = ["-1", "0", "99999999999", ""]
 
 @st.composite
 def fuzz_argvs(draw, transcript):
-    """badness, dirichlet, certify or series argvs from formatter output and
-    edge values (negative, zero, huge, empty).  Caps stay at 4 or below,
-    and series precisions small or beyond the 10^6 bound: up to it, a
-    quotient that does not terminate takes one division step per unit."""
+    """badness, dirichlet, certify, series or game run argvs from formatter
+    output and edge values (negative, zero, huge, empty).  Caps stay at 4 or
+    below, save a huge one for game run, whose work follows the rounds; series
+    precisions stay small or beyond the 10^6 bound: up to it, a quotient that
+    does not terminate takes one division step per unit."""
     spec = draw(st.sampled_from([FieldSpec(2), FieldSpec(3), FieldSpec(2, 2)]))
     field = str(spec.p) if spec.r == 1 else f"{spec.p}^{spec.r}"
 
@@ -498,7 +522,7 @@ def fuzz_argvs(draw, transcript):
     edge_text = st.sampled_from(["", "X^99999999999", "X^-99999999999", "(", "X^", "1;"])
     text = st.one_of(series, series, edge_text)
     cap = st.sampled_from(["0", "1", "2", "3", "4"] * 2 + ["-1", "", "x"])
-    command = draw(st.sampled_from(["badness", "dirichlet", "certify", "series"]))
+    command = draw(st.sampled_from(["badness", "dirichlet", "certify", "series", "game run"]))
     flags = {
         "--field": st.sampled_from([field] * 8 + EDGE),
         "--budget": st.sampled_from(["10", "2000000"] + EDGE),
@@ -523,15 +547,24 @@ def fuzz_argvs(draw, transcript):
         precisions = ["1000000", "8", "8", "3000", "30", "-1", "0", ""]
         flags["--precision"] = st.sampled_from(precisions)
         flags["--R-exp"] = st.sampled_from(["1", "2", "2", "0", "-1"])
+    elif command == "game run":
+        flags["--alpha"] = flags["--beta"] = st.sampled_from(["1/2", "1/4", "3/4"] * 2 + EDGE)
+        flags["--m"] = flags["--n"] = st.sampled_from(["1", "1", "2", "0", "-1", ""])
+        flags["--cap"] = st.sampled_from(["0", "2", "4", str(10**9), "-1", "", "x"])
+        flags["--rounds"] = st.sampled_from(["4", "8", "0", "-1", ""])
+        flags["--R-exp"] = st.sampled_from(["1", "2", "0", "-1"])
+        flags["--white"] = st.sampled_from(["white-avoid", "white-literal", "x"])
+        flags["--black"] = st.sampled_from(["black-random", "black-greedy", "x"])
     else:
         flags["--x"] = flags["--y"] = text
         flags["--op"] = st.sampled_from(["add", "sub", "mul", "div", ""])
         flags["--precision"] = st.sampled_from(
             ["5", "64", "-1", "0", "", "1000001", "99999999999"]
         )
-    argv = [command]
+    argv = command.split()
     for flag, values in flags.items():
         required = flag in ("--field", "--matrix", "--cap", "--transcript", "--x", "--t")
+        required |= flag in ("--alpha", "--beta", "--rounds")
         required |= command == "series" and flag in ("--op", "--precision")
         if required or not draw(st.integers(0, 3)):
             argv += [flag, draw(values)]

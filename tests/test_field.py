@@ -1,5 +1,6 @@
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,14 @@ def test_floor_log_exact():
     with pytest.raises(ValueError):
         floor_log(Fraction(0), 2)
     assert floor_log(1, 2) == 0 and floor_log(26, 3) == 2
+
+
+def test_floor_log_accepts_what_fraction_accepts():
+    assert floor_log("1/2", 2) == -1
+    assert floor_log(0.125, 2) == -3
+    assert floor_log(Decimal("26"), 3) == 2
+    with pytest.raises(ValueError):
+        floor_log("-1/3", 3)
 
 
 EXPONENTS = st.one_of(

@@ -1057,10 +1057,14 @@ def test_admitted_heights_match_the_level_loop(field, m, n, R_exp, cap, den_exp,
     cfg = StrategyConfig(spec, m, n, R_exp=R_exp, height_cap_exp=cap)
     marker_level = cfg.marker_level(kind, Fraction(1, spec.k**den_exp))
     stop = marker_level + LOOKAHEAD + 1
-    rows = cfg.admitted_heights(kind)
-    walked = list(itertools.takewhile(lambda row: row[1] < stop, rows))
-    assert [(h, i, thr_exp) for h, i, thr_exp, _thr in walked] == _level_loop_heights(
+    white = AvoidanceWhite(cfg)
+    # a shallower walk first: the rows it builds are kept and extended
+    white._admitted(kind, stop // 2)
+    rows = white._admitted(kind, stop)
+    assert all(i < stop for _h, i, _thr in rows)
+    assert [(h, i, thr.exponent()) for h, i, thr in rows] == _level_loop_heights(
         cfg, kind, marker_level
     )
-    assert [h for h, *_ in rows] == list(range(cap + 1))
-    assert all(thr == Magnitude(spec.k, thr_exp) for _h, _i, thr_exp, thr in rows)
+    assert all(thr == Magnitude(spec.k, cfg.threshold_exponent(kind, i)) for _h, i, thr in rows)
+    # a deep enough walk admits every height up to the cap, and then stops
+    assert [h for h, _i, _thr in white._admitted(kind, 10**9)] == list(range(cap + 1))
