@@ -341,8 +341,7 @@ class Magnitude:
 
 
 def floor_log(value, k: int) -> int:
-    """Largest integer e with k^e <= value, for any positive value that
-    ``Fraction`` accepts."""
+    """Largest integer e with k^e <= value, for an exact positive rational."""
     if not isinstance(value, (int, Fraction)):
         value = Fraction(value)
     a, b = value.numerator, value.denominator

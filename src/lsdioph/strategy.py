@@ -549,10 +549,9 @@ class AvoidanceWhite:
         return out
 
     def _admitted(self, kind: str, stop: int) -> list:
-        """Rows ``(h, i, thr)`` for the heights up to the cap that levels below
-        ``stop`` admit: i is the lowest level whose window admits height k^h,
-        thr its threshold.  Windows grow with i, so i does not decrease along
-        the rows; they are extended only as far as the game has reached."""
+        """Rows ``(h, i, thr)``, extended up to level ``stop`` or the cap: i is
+        the lowest level whose window admits height k^h, thr its threshold.
+        Windows grow with i, so i does not decrease along the rows."""
         cfg = self.cfg
         rows = self._rows[kind]
         i = self._next_level[kind]
