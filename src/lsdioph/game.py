@@ -40,7 +40,11 @@ class FormalBall:
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-        object.__setattr__(self, "radius", Fraction(self.radius))
+        if not isinstance(self.radius, Fraction):
+            object.__setattr__(self, "radius", Fraction(self.radius))
+        for x in (e for row in self.center.entries for e in row):
+            if not isinstance(x, LaurentSeries) or not x.is_exact:
+                raise ValueError("center entries must be exact finite-support series")
 
     @property
     def spec(self) -> FieldSpec:
@@ -72,12 +76,26 @@ class GameParams:
 
 
 def formal_contains(inner: FormalBall, outer: FormalBall) -> bool:
-    """Exact test of rho_in + ||c_in - c_out|| <= rho_out."""
+    """Exact test of rho_in + ||c_in - c_out|| <= rho_out.  Centers have
+    finite support and store no zero coefficient, so ||c_in - c_out|| is
+    k^gap, gap the largest exponent at which their coefficients differ."""
     if inner.center.shape != outer.center.shape:
         raise ValueError("dimension mismatch")
-    delta = inner.center - outer.center
-    gap = delta.height()
-    return inner.radius + gap.as_fraction() <= outer.radius
+    if inner.spec != outer.spec:
+        raise ValueError("mixed field specs")
+    pairs = zip(
+        (x for row in inner.center.entries for x in row),
+        (y for row in outer.center.entries for y in row),
+    )
+    gap = max((e for x, y in pairs for e, _c in x.coeffs.items() ^ y.coeffs.items()), default=None)
+    # rho_out - rho_in = slack / scale, compared with k^gap in integers
+    a, b = inner.radius.numerator, inner.radius.denominator
+    c, d = outer.radius.numerator, outer.radius.denominator
+    slack, scale = c * b - a * d, b * d
+    if gap is None:
+        return slack >= 0
+    k = inner.spec.k
+    return slack >= k**gap * scale if gap >= 0 else slack * k**-gap >= scale
 
 
 def ball_contains_point(ball: FormalBall, point: SeriesMatrix) -> bool:
@@ -128,9 +146,6 @@ class GameTranscript:
 
     def black_balls(self):
         return self.balls[0::2]
-
-    def white_balls(self):
-        return self.balls[1::2]
 
     def full_rounds(self) -> int:
         """Completed (W_i, B_i+1) rounds."""

@@ -243,6 +243,8 @@ def check_duality(
     products lambda_j * sigma_{d+1-j} for diagnostics (those are empirical
     observations, not asserted)."""
     d = P.dim
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
     if m + n != d:
         raise ValueError("m + n must equal the dimension")
     sm = successive_minima(P, degree_bound)

@@ -1,38 +1,13 @@
-"""Seeded random generators for polynomials, polynomial matrices, balls and
-orthonormal bases.  Everything takes an explicit ``random.Random`` so runs are
-reproducible from a single seed."""
+"""Seeded random generators for balls and orthonormal bases.  Everything
+takes an explicit ``random.Random`` so runs are reproducible from a single
+seed."""
 
 from __future__ import annotations
 
-from .field import FieldSpec, Magnitude, Poly
+from .field import FieldSpec, Magnitude
 from .game import FormalBall
-from .linalg import det, series_vec_rank_at_zero
+from .linalg import series_vec_rank_at_zero
 from .series import LaurentSeries, SeriesMatrix
-
-
-def random_poly(rng, spec: FieldSpec, max_deg: int, nonzero: bool = False) -> Poly:
-    while True:
-        coeffs = [rng.randrange(spec.k) for _ in range(max_deg + 1)]
-        p = Poly(spec, coeffs)
-        if not nonzero or not p.is_zero:
-            return p
-
-
-def random_poly_matrix(rng, spec: FieldSpec, d: int, max_deg: int) -> SeriesMatrix:
-    return SeriesMatrix(
-        spec,
-        [
-            [LaurentSeries.from_poly(random_poly(rng, spec, max_deg)) for _ in range(d)]
-            for _ in range(d)
-        ],
-    )
-
-
-def random_invertible_poly_matrix(rng, spec: FieldSpec, d: int, max_deg: int) -> SeriesMatrix:
-    while True:
-        m = random_poly_matrix(rng, spec, d, max_deg)
-        if not det(m).is_zero:
-            return m
 
 
 def random_ball(

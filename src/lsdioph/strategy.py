@@ -139,6 +139,32 @@ def _block_values(center: SeriesMatrix, kind: str, q_first):
     return [vec_dot(q_first, center.row(l)) for l in range(center.rows)]
 
 
+def _block_digits(center: SeriesMatrix, kind: str):
+    """Coefficient dicts of the center, one list per tail column, in the
+    order ``_block_values`` pairs them with q_first."""
+    lines = zip(*center.entries) if kind == "k" else center.entries
+    return [[x.coeffs for x in line] for line in lines]
+
+
+def _has_frac_digit(blocks, q_first, floor: int, spec: FieldSpec) -> bool:
+    """Does some block value sum_i q_i a_i (exact, from ``_block_digits``)
+    have a nonzero coefficient at an exponent in (floor, -1]?  Each
+    coefficient is sum_i sum_j q_i[j] a_i[x - j]; the scan runs down from
+    x = -1 and stops at the first nonzero one."""
+    terms = [(i, j, c) for i, p in enumerate(q_first) for j, c in enumerate(p.coeffs) if c]
+    add, mul = spec.add, spec.mul
+    for x in range(-1, floor, -1):
+        for line in blocks:
+            s = 0
+            for i, j, c in terms:
+                a = line[i].get(x - j)
+                if a:
+                    s = add(s, mul(c, a))
+            if s:
+                return True
+    return False
+
+
 def check_inequalities(
     A: SeriesMatrix, q, i: int, kind: str, cfg: StrategyConfig
 ) -> bool:
@@ -522,13 +548,13 @@ class AvoidanceWhite:
         coefficients lie above the radius, and the allowance only shrinks."""
         cfg = self.cfg
         spec = cfg.spec
-        k = spec.k
         prev = t.last()
         e = prev.effective_exponent()
         radius = min(b.radius for b in t.black_balls())
         out = []
         for kind in ("k", "h"):
             stop = cfg.marker_level(kind, radius) + LOOKAHEAD + 1
+            blocks = _block_digits(prev.center, kind)
             for h, i, thr in self._admitted(kind, stop):
                 if i >= stop:
                     break
@@ -536,15 +562,17 @@ class AvoidanceWhite:
                     self._live[(kind, h)] = list(
                         iter_height_class(spec, cfg.first_block(kind), h)
                     )
-                pert = Magnitude.power(k, h + e)
+                # a value is above both pert = k^(h+e) and thr exactly when
+                # it has a fractional digit above this floor
+                thr_exp = thr.exponent()
+                floor = max(h + e, _ceil_minus_one(thr_exp))
                 live = []
                 for q_first in self._live[(kind, h)]:
-                    values = _block_values(prev.center, kind, q_first)
-                    fracs = [v.frac_norm() for v in values]
-                    if any(f > pert and f >= thr for f in fracs):
+                    if _has_frac_digit(blocks, q_first, floor, spec):
                         continue
                     live.append(q_first)
-                    out.append((kind, q_first, h, values, thr.exponent()))
+                    values = _block_values(prev.center, kind, q_first)
+                    out.append((kind, q_first, h, values, thr_exp))
                 self._live[(kind, h)] = live
         return out
 

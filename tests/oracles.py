@@ -3,7 +3,9 @@ exhaustive searches, two of which visit every q in ``iter_height_class``
 order (only the import of PrecisionExhausted is rewritten) and the
 pigeonhole one every q of bounded degree, and the old F_q null space.
 Also the ``Magnitude`` that stored every exponent as a ``Fraction``,
-renamed ``OracleMagnitude`` and otherwise verbatim."""
+renamed ``OracleMagnitude`` and otherwise verbatim; the ball containment
+test and White's safe test that read whole differences and products, and
+the character loop of ``series._split_top``."""
 
 import itertools
 from fractions import Fraction
@@ -22,11 +24,12 @@ from lsdioph.errors import (
     DivisionByZero,
     PrecisionExhausted,
     SearchBudgetExceeded,
+    SeriesSyntaxError,
     WitnessNotFound,
 )
 from lsdioph.field import Magnitude
 from lsdioph.series import RationalFn, SeriesMatrix, vec_dot, vec_height
-from lsdioph.strategy import BadnessCertificate, StrategyConfig
+from lsdioph.strategy import BadnessCertificate, StrategyConfig, _block_values
 
 
 def oracle_badness_constant(
@@ -327,3 +330,42 @@ class OracleMagnitude:
         if self.exp is None:
             return "0"
         return f"{self.k}^{self.exp}"
+
+
+def oracle_formal_contains(inner, outer) -> bool:
+    """Exact test of rho_in + ||c_in - c_out|| <= rho_out."""
+    if inner.center.shape != outer.center.shape:
+        raise ValueError("dimension mismatch")
+    delta = inner.center - outer.center
+    gap = delta.height()
+    return inner.radius + gap.as_fraction() <= outer.radius
+
+
+def oracle_pinned_safe(center: SeriesMatrix, kind: str, q_first, pert, thr) -> bool:
+    """``AvoidanceWhite.active_dangers``'s test that a vector is safe: some
+    block value at the center lies above both the perturbation allowance
+    ``pert`` and the threshold ``thr``."""
+    values = _block_values(center, kind, q_first)
+    fracs = [v.frac_norm() for v in values]
+    return any(f > pert and f >= thr for f in fracs)
+
+
+def oracle_split_top(text: str, sep: str):
+    """Split at ``sep`` outside parentheses, as (chunk, offset) pairs."""
+    terms = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise SeriesSyntaxError("unbalanced parenthesis", i)
+        elif ch == sep and depth == 0:
+            terms.append((text[start:i], start))
+            start = i + 1
+    if depth:
+        raise SeriesSyntaxError("unbalanced parenthesis", len(text))
+    terms.append((text[start:], start))
+    return terms

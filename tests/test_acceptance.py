@@ -11,6 +11,8 @@ import random
 import time
 from fractions import Fraction
 
+from random_polys import random_invertible_poly_matrix
+
 from lsdioph.approx import (
     LinearFormSystem,
     badness_constant,
@@ -36,11 +38,7 @@ from lsdioph.geom import (
     structured_pair,
     successive_minima,
 )
-from lsdioph.sampling import (
-    random_ball,
-    random_invertible_poly_matrix,
-    random_orthonormal_basis,
-)
+from lsdioph.sampling import random_ball, random_orthonormal_basis
 from lsdioph.series import LaurentSeries, RationalFn, SeriesMatrix
 from lsdioph.strategy import (
     AvoidanceWhite,

@@ -506,11 +506,11 @@ EDGE = ["-1", "0", "99999999999", ""]
 
 @st.composite
 def fuzz_argvs(draw, transcript):
-    """badness, dirichlet, certify, series or game run argvs from formatter
-    output and edge values (negative, zero, huge, empty).  Caps stay at 4 or
-    below, save a huge one for game run, whose work follows the rounds; series
-    precisions stay small or beyond the 10^6 bound: up to it, a quotient that
-    does not terminate takes one division step per unit."""
+    """badness, dirichlet, certify, series, game run, duality or sucmin argvs
+    from formatter output and edge values (negative, zero, huge, empty).  Caps
+    stay at 4 or below, save a huge one for game run, whose work follows the
+    rounds; series precisions stay small or beyond the 10^6 bound: up to it, a
+    quotient that does not terminate takes one division step per unit."""
     spec = draw(st.sampled_from([FieldSpec(2), FieldSpec(3), FieldSpec(2, 2)]))
     field = str(spec.p) if spec.r == 1 else f"{spec.p}^{spec.r}"
 
@@ -522,13 +522,16 @@ def fuzz_argvs(draw, transcript):
     edge_text = st.sampled_from(["", "X^99999999999", "X^-99999999999", "(", "X^", "1;"])
     text = st.one_of(series, series, edge_text)
     cap = st.sampled_from(["0", "1", "2", "3", "4"] * 2 + ["-1", "", "x"])
-    command = draw(st.sampled_from(["badness", "dirichlet", "certify", "series", "game run"]))
+    commands = ["badness", "dirichlet", "certify", "series", "game run", "duality", "sucmin"]
+    command = draw(st.sampled_from(commands))
     flags = {
         "--field": st.sampled_from([field] * 8 + EDGE),
         "--budget": st.sampled_from(["10", "2000000"] + EDGE),
     }
-    if command in ("badness", "dirichlet"):
+    if command in ("badness", "dirichlet", "duality", "sucmin"):
         m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        if command in ("duality", "sucmin"):
+            m = n = m + n  # a square matrix
         entry = formatted(st.integers(-6, 0), st.integers(1, spec.k - 1), min_size=1)
         row = st.lists(entry, min_size=n, max_size=n).map(", ".join)
         matrix = st.lists(row, min_size=m, max_size=m).map("; ".join)
@@ -541,6 +544,11 @@ def fuzz_argvs(draw, transcript):
         flags["--t"] = st.sampled_from(["64", "1", "2", "30", "4", "0", "-1", ""])
         flags["--budget"] = st.sampled_from(["10", "10", "2000000", "0", "-1", ""])
         flags["--c0"] = st.sampled_from(["1", "0", "5", "-1", ""])
+    if command in ("duality", "sucmin"):
+        flags["--bounds"] = st.sampled_from([",".join(["0"] * m), ",".join(["-1"] * m), "0", "x", ""])
+        flags["--degree-bound"] = st.sampled_from(["2", "0", "-1", ""])
+        if command == "duality":
+            flags["--m"] = flags["--n"] = st.sampled_from(["1", "2", "3", "0", "-1", ""])
     elif command == "certify":
         flags["--transcript"] = st.sampled_from([transcript] * 3 + [transcript + ".missing"])
         flags["--cap"] = cap
@@ -566,6 +574,7 @@ def fuzz_argvs(draw, transcript):
         required = flag in ("--field", "--matrix", "--cap", "--transcript", "--x", "--t")
         required |= flag in ("--alpha", "--beta", "--rounds")
         required |= command == "series" and flag in ("--op", "--precision")
+        required |= command == "duality" and flag in ("--m", "--n")
         if required or not draw(st.integers(0, 3)):
             argv += [flag, draw(values)]
     return argv + ["--no-timestamp"]

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import oracle_formal_contains
 
 from lsdioph.errors import InsufficientDepth
 from lsdioph.field import FieldSpec
@@ -26,6 +29,7 @@ from lsdioph.series import LaurentSeries, SeriesMatrix, parse_series
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+FIELDS = [F2, F3, FieldSpec(2, 2), FieldSpec(3, 2)]
 
 
 def ball(center_text, radius, spec=F2):
@@ -40,6 +44,89 @@ def test_formal_contains_examples():
     assert not formal_contains(ball("X^-1", 1), outer)  # equal radii, moved center
     # boundary case: rho_out = 1, rho_in = 1/2, ||dc|| = 1/2
     assert formal_contains(ball("X^-1", Fraction(1, 2)), outer)
+    # the same at a gap of k^1, and just past it
+    assert formal_contains(ball("X + 1", 3), ball("1", 5))
+    assert not formal_contains(ball("X + 1", 3), ball("1", Fraction(49, 10)))
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except ValueError as exc:
+        return ("raise", type(exc).__name__, str(exc))
+
+
+@st.composite
+def ball_pairs(draw):
+    """(inner, outer) over one field and shape: independent centers, equal
+    centers, or centers that differ in one deep coefficient; the inner
+    radius is random or sits at the containment boundary."""
+    spec = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    coeffs = st.dictionaries(st.integers(-8, 2), st.integers(0, spec.k - 1), max_size=5)
+
+    def center():
+        return SeriesMatrix(
+            spec, [[LaurentSeries(spec, draw(coeffs)) for _ in range(cols)] for _ in range(rows)]
+        )
+
+    outer = center()
+    how = draw(st.sampled_from(["independent", "equal", "deep"]))
+    if how == "independent":
+        inner = center()
+    elif how == "equal":
+        inner = SeriesMatrix(spec, outer.entries)
+    else:
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        deep = LaurentSeries.monomial(spec, draw(st.integers(1, spec.k - 1)), draw(st.integers(-90, -9)))
+        entries = [list(row) for row in outer.entries]
+        entries[i][j] = entries[i][j] + deep
+        inner = SeriesMatrix(spec, entries)
+    k_power = st.integers(-90, 3).map(lambda e: Fraction(spec.k) ** e)
+    radius = st.one_of(k_power, st.fractions(min_value=Fraction(1, 10**6), max_value=10))
+    r_in, r_out = draw(radius), draw(radius)
+    if draw(st.booleans()):
+        gap = (inner - outer).height().as_fraction()
+        r_out = r_in + gap + draw(st.sampled_from([0, 0, Fraction(1, 10**30), -Fraction(1, 10**30)]))
+    return FormalBall(inner, r_in), FormalBall(outer, r_out)
+
+
+@given(ball_pairs())
+def test_formal_contains_matches_the_oracle(pair):
+    inner, outer = pair
+    assert _outcome(formal_contains, inner, outer) == _outcome(oracle_formal_contains, inner, outer)
+    assert _outcome(formal_contains, outer, inner) == _outcome(oracle_formal_contains, outer, inner)
+
+
+@given(ball_pairs(), st.data())
+def test_formal_contains_raises_as_the_oracle_does(pair, data):
+    inner, outer = pair
+    spec = inner.spec
+    rows, cols = inner.center.shape
+    others = [f for f in FIELDS + [FieldSpec(3, 2, modulus=(2, 1, 1))] if f != spec]
+    other = data.draw(st.sampled_from(others))
+    moved = [
+        # another field, same shape
+        FormalBall(SeriesMatrix.zero(other, rows, cols), inner.radius),
+        # same field, transposed or widened shape
+        FormalBall(SeriesMatrix.zero(spec, cols, rows + 1), inner.radius),
+        # both at once
+        FormalBall(SeriesMatrix.zero(other, rows + 1, cols), inner.radius),
+    ]
+    for ball_ in moved:
+        for args in ((ball_, outer), (outer, ball_)):
+            want = _outcome(oracle_formal_contains, *args)
+            assert want[0] == "raise"
+            assert _outcome(formal_contains, *args) == want
+
+
+def test_formal_ball_center_has_finite_support():
+    truncated = LaurentSeries(F2, {-1: 1}, known_below=-5)
+    with pytest.raises(ValueError, match="finite-support"):
+        FormalBall(SeriesMatrix(F2, [[truncated]]), Fraction(1))
+    radius = Fraction(1, 4)
+    assert FormalBall(SeriesMatrix.zero(F2, 1, 1), radius).radius is radius
+    assert FormalBall(SeriesMatrix.zero(F2, 1, 1), 2).radius == Fraction(2)
 
 
 def test_formal_containment_implies_set_containment():

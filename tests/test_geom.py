@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from random_polys import random_invertible_poly_matrix
 
 from lsdioph.approx import iter_polys
 from lsdioph.errors import SearchIncomplete
@@ -18,7 +19,6 @@ from lsdioph.geom import (
     successive_minima,
 )
 from lsdioph.linalg import adjugate, det, mat_mul, poly_independent
-from lsdioph.sampling import random_invertible_poly_matrix
 from lsdioph.series import LaurentSeries, SeriesMatrix, parse_matrix
 
 F2 = FieldSpec(2)

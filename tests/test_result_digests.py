@@ -2,7 +2,8 @@
 the way `perfbench/run.py` does it: every job's output passes its
 closed-form check and its result digest matches the one recorded in
 `perfbench/digests.json`, so a change to any `result` payload fails here,
-not only in a full benchmark run."""
+not only in a full benchmark run.  The warm-up jobs of a few seeds are run
+and checked too."""
 
 import json
 import os
@@ -38,3 +39,17 @@ def test_first_rounds_match_the_recorded_digests(workload, tmp_path, monkeypatch
         assert error is None, f"{job.kind}: {error}"
         got.append(run.check_job(job, outputs))
     assert got == recorded[: len(jobs)]
+
+
+@pytest.mark.parametrize("workload", ["game-certify", "search"])
+def test_warmup_jobs_pass_their_checks(workload, tmp_path, monkeypatch):
+    """The warm-up jobs come from round -1, which no timed round and no
+    recorded digest covers: seeds 0-4 of them must pass their checks."""
+    monkeypatch.chdir(tmp_path)
+    os.makedirs(os.path.dirname(workloads.TRANSCRIPT), exist_ok=True)
+    cli = run.import_program()
+    for seed in range(5):
+        for job in workloads.warmup_jobs(workload, seed):
+            _latency, outputs, error = run.run_job(cli, job)
+            assert error is None, f"seed {seed}, {job.kind}: {error}"
+            run.check_job(job, outputs)

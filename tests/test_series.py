@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import oracle_split_top
 
 from lsdioph.errors import (
     CoefficientOutOfRange,
@@ -15,6 +16,7 @@ from lsdioph.series import (
     LaurentSeries,
     RationalFn,
     SeriesMatrix,
+    _split_top,
     format_matrix,
     format_series,
     lattice_distance,
@@ -28,6 +30,21 @@ from lsdioph.series import (
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 F4 = FieldSpec(2, 2)
+
+
+def _split_outcome(fn, text, sep):
+    try:
+        return ("value", fn(text, sep))
+    except SeriesSyntaxError as exc:
+        return ("raise", str(exc), exc.position)
+
+
+@given(st.text(alphabet="()+,;X^1- ", max_size=30), st.sampled_from("+,;"))
+@example("(1,0)*X + (0,1", "+")
+@example("1 + X)", "+")
+@example("X^-1 + 1 + ", "+")
+def test_split_top_matches_the_character_loop(text, sep):
+    assert _split_outcome(_split_top, text, sep) == _split_outcome(oracle_split_top, text, sep)
 
 
 def rand_series(rng, spec, lead_hi=4, depth=9):

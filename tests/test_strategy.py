@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import oracle_pinned_safe
 
 from lsdioph.approx import LinearFormSystem, iter_height_class
 from lsdioph.errors import CounterexampleFound, NoLegalCenter
@@ -34,8 +35,10 @@ from lsdioph.series import (
 from lsdioph.strategy import (
     LOOKAHEAD,
     AvoidanceWhite,
+    _block_digits,
     _block_values,
     _ceil_minus_one,
+    _has_frac_digit,
     _pattern_matrix,
     _single_entry_patterns,
     LiteralWhite,
@@ -998,6 +1001,46 @@ def test_dangers_sit_at_their_lowest_level(field, shape, cap, R_exp, seed, round
 
     start = unit_ball(cfg.spec, cfg.m, cfg.n)
     play(Lockstep(), black(), start, params, StopRule(max_rounds=rounds))
+
+
+@given(
+    field=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]),
+    shape=st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 1)]),
+    kind=st.sampled_from(["k", "h"]),
+    cancel=st.booleans(),
+    e=st.integers(-40, 2),
+    thr_exp=st.fractions(min_value=-40, max_value=2, max_denominator=6),
+    data=st.data(),
+)
+def test_frac_digit_scan_matches_the_safe_test(field, shape, kind, cancel, e, thr_exp, data):
+    """The digit scan against the test on whole block values, with values
+    that cancel down to one deep coefficient when ``cancel`` is drawn."""
+    spec = FieldSpec(*field)
+    rows, cols = shape
+    coeffs = st.dictionaries(st.integers(-12, 2), st.integers(0, spec.k - 1), max_size=6)
+    entries = [
+        [LaurentSeries(spec, data.draw(coeffs)) for _ in range(cols)] for _ in range(rows)
+    ]
+    first = rows if kind == "k" else cols
+    poly = st.lists(st.integers(0, spec.k - 1), max_size=5).map(lambda c: Poly(spec, c))
+    q_first = tuple(data.draw(poly) for _ in range(first))
+    if cancel and first > 1:
+        # a_1 = X^s a_0 + c X^deep and q_0 = -X^s q_1 in every block line:
+        # the value is q_1 c X^deep
+        s_ = data.draw(st.integers(0, 2))
+        deep = LaurentSeries.monomial(spec, data.draw(st.integers(1, spec.k - 1)), data.draw(st.integers(-45, -1)))
+        q_first = (-q_first[1].shift(s_),) + q_first[1:]
+        for line in range(cols if kind == "k" else rows):
+            i0, i1 = ((0, line), (1, line)) if kind == "k" else ((line, 0), (line, 1))
+            entries[i1[0]][i1[1]] = entries[i0[0]][i0[1]].shift(s_) + deep
+    assume(any(not p.is_zero for p in q_first))
+    center = SeriesMatrix(spec, entries)
+    h = max(p.degree for p in q_first)
+    k = spec.k
+    pert, thr = Magnitude.power(k, h + e), Magnitude(k, thr_exp)
+    floor = max(h + e, _ceil_minus_one(thr_exp))
+    got = _has_frac_digit(_block_digits(center, kind), q_first, floor, spec)
+    assert got == oracle_pinned_safe(center, kind, q_first, pert, thr)
 
 
 def _rescan_marker_level(cfg, kind, radius):
