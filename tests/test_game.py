@@ -59,8 +59,8 @@ def _outcome(fn, *args):
 @st.composite
 def ball_pairs(draw):
     """(inner, outer) over one field and shape: independent centers, equal
-    centers, or centers that differ in one deep coefficient; the inner
-    radius is random or sits at the containment boundary."""
+    centers, or centers that differ in one deep coefficient; the outer
+    radius is random or sits at, or 10^-30 off, the containment boundary."""
     spec = draw(st.sampled_from(FIELDS))
     rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     coeffs = st.dictionaries(st.integers(-8, 2), st.integers(0, spec.k - 1), max_size=5)
