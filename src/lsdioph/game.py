@@ -88,7 +88,8 @@ def formal_contains(inner: FormalBall, outer: FormalBall) -> bool:
         (y for row in outer.center.entries for y in row),
     )
     gap = max((e for x, y in pairs for e, _c in x.coeffs.items() ^ y.coeffs.items()), default=None)
-    # rho_out - rho_in = slack / scale, compared with k^gap in integers
+    # rho_out - rho_in = slack / scale, compared with k^gap in integers;
+    # Fraction arithmetic here measurably slows game-certify (CHANGES.md)
     a, b = inner.radius.numerator, inner.radius.denominator
     c, d = outer.radius.numerator, outer.radius.denominator
     slack, scale = c * b - a * d, b * d

@@ -616,12 +616,6 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
 
 def _split_top(text: str, sep: str):
     """Split at ``sep`` outside parentheses, as (chunk, offset) pairs."""
-    if "(" not in text and ")" not in text:
-        terms, start = [], 0
-        for chunk in text.split(sep):
-            terms.append((chunk, start))
-            start += len(chunk) + 1
-        return terms
     terms = []
     depth = 0
     start = 0

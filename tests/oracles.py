@@ -3,9 +3,8 @@ exhaustive searches, two of which visit every q in ``iter_height_class``
 order (only the import of PrecisionExhausted is rewritten) and the
 pigeonhole one every q of bounded degree, and the old F_q null space.
 Also the ``Magnitude`` that stored every exponent as a ``Fraction``,
-renamed ``OracleMagnitude`` and otherwise verbatim; the ball containment
-test and White's safe test that read whole differences and products, and
-the character loop of ``series._split_top``."""
+renamed ``OracleMagnitude`` and otherwise verbatim; and the ball containment
+test and White's safe test that read whole differences and products."""
 
 import itertools
 from fractions import Fraction
@@ -24,7 +23,6 @@ from lsdioph.errors import (
     DivisionByZero,
     PrecisionExhausted,
     SearchBudgetExceeded,
-    SeriesSyntaxError,
     WitnessNotFound,
 )
 from lsdioph.field import Magnitude
@@ -348,24 +346,3 @@ def oracle_pinned_safe(center: SeriesMatrix, kind: str, q_first, pert, thr) -> b
     values = _block_values(center, kind, q_first)
     fracs = [v.frac_norm() for v in values]
     return any(f > pert and f >= thr for f in fracs)
-
-
-def oracle_split_top(text: str, sep: str):
-    """Split at ``sep`` outside parentheses, as (chunk, offset) pairs."""
-    terms = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise SeriesSyntaxError("unbalanced parenthesis", i)
-        elif ch == sep and depth == 0:
-            terms.append((text[start:i], start))
-            start = i + 1
-    if depth:
-        raise SeriesSyntaxError("unbalanced parenthesis", len(text))
-    terms.append((text[start:], start))
-    return terms

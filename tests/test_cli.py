@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, find, given, settings
 from hypothesis import strategies as st
 
 from lsdioph.cli import main
@@ -505,12 +505,13 @@ EDGE = ["-1", "0", "99999999999", ""]
 
 
 @st.composite
-def fuzz_argvs(draw, transcript):
+def fuzz_argvs(draw, transcript, command=None):
     """badness, dirichlet, certify, series, game run, duality or sucmin argvs
     from formatter output and edge values (negative, zero, huge, empty).  Caps
     stay at 4 or below, save a huge one for game run, whose work follows the
     rounds; series precisions stay small or beyond the 10^6 bound: up to it, a
-    quotient that does not terminate takes one division step per unit."""
+    quotient that does not terminate takes one division step per unit.  A
+    given command fixes the sub-command instead of drawing it."""
     spec = draw(st.sampled_from([FieldSpec(2), FieldSpec(3), FieldSpec(2, 2)]))
     field = str(spec.p) if spec.r == 1 else f"{spec.p}^{spec.r}"
 
@@ -523,7 +524,7 @@ def fuzz_argvs(draw, transcript):
     text = st.one_of(series, series, edge_text)
     cap = st.sampled_from(["0", "1", "2", "3", "4"] * 2 + ["-1", "", "x"])
     commands = ["badness", "dirichlet", "certify", "series", "game run", "duality", "sucmin"]
-    command = draw(st.sampled_from(commands))
+    command = command or draw(st.sampled_from(commands))
     flags = {
         "--field": st.sampled_from([field] * 8 + EDGE),
         "--budget": st.sampled_from(["10", "2000000"] + EDGE),
@@ -544,7 +545,7 @@ def fuzz_argvs(draw, transcript):
         flags["--t"] = st.sampled_from(["64", "1", "2", "30", "4", "0", "-1", ""])
         flags["--budget"] = st.sampled_from(["10", "10", "2000000", "0", "-1", ""])
         flags["--c0"] = st.sampled_from(["1", "0", "5", "-1", ""])
-    if command in ("duality", "sucmin"):
+    elif command in ("duality", "sucmin"):
         flags["--bounds"] = st.sampled_from([",".join(["0"] * m), ",".join(["-1"] * m), "0", "x", ""])
         flags["--degree-bound"] = st.sampled_from(["2", "0", "-1", ""])
         if command == "duality":
@@ -592,3 +593,20 @@ def test_main_never_crashes(tmp_path, capsys, data):
         assert set(json.loads(out.err)) >= {"error", "message"}
     else:
         json.loads(out.out)
+
+
+@pytest.mark.parametrize(
+    "command", ["badness", "dirichlet", "certify", "series", "game run", "duality", "sucmin"]
+)
+def test_fuzzer_reaches_each_command(tmp_path, capsys, command):
+    """fuzz_argvs draws argvs of each command that run to exit 0, so a flag
+    its sub-parser rejects on every draw cannot go unnoticed."""
+    transcript = _small_transcript(tmp_path, capsys)
+
+    def runs(argv):
+        code = exit_code(argv)
+        capsys.readouterr()
+        return code == 0
+
+    search = settings(max_examples=1000, phases=[Phase.generate], database=None)
+    find(fuzz_argvs(transcript, command), runs, settings=search)

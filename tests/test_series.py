@@ -1,9 +1,9 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import oracle_split_top
 
 from lsdioph.errors import (
     CoefficientOutOfRange,
@@ -32,19 +32,21 @@ F3 = FieldSpec(3)
 F4 = FieldSpec(2, 2)
 
 
-def _split_outcome(fn, text, sep):
-    try:
-        return ("value", fn(text, sep))
-    except SeriesSyntaxError as exc:
-        return ("raise", str(exc), exc.position)
-
-
 @given(st.text(alphabet="()+,;X^1- ", max_size=30), st.sampled_from("+,;"))
 @example("(1,0)*X + (0,1", "+")
 @example("1 + X)", "+")
 @example("X^-1 + 1 + ", "+")
-def test_split_top_matches_the_character_loop(text, sep):
-    assert _split_outcome(_split_top, text, sep) == _split_outcome(oracle_split_top, text, sep)
+def test_split_top_splits_outside_parentheses(text, sep):
+    depths = list(itertools.accumulate((ch == "(") - (ch == ")") for ch in text))
+    if min(depths, default=0) < 0 or depths and depths[-1]:
+        with pytest.raises(SeriesSyntaxError) as exc:
+            _split_top(text, sep)
+        assert exc.value.position == (depths.index(-1) if -1 in depths else len(text))
+        return
+    terms = _split_top(text, sep)
+    assert sep.join(chunk for chunk, _ in terms) == text
+    cuts = [i for i, ch in enumerate(text) if ch == sep and depths[i] == 0]
+    assert [offset for _, offset in terms] == [0] + [i + 1 for i in cuts]
 
 
 def rand_series(rng, spec, lead_hi=4, depth=9):
