@@ -315,7 +315,7 @@ def _build_parser():
     p.add_argument("--rounds", type=int, default=24)
     p.add_argument("--initial-radius", default="1")
     p.add_argument("--R-exp", type=int, default=2)
-    p.add_argument("--cap", type=int, default=4, help="strategy height cap exponent")
+    p.add_argument("--cap", type=nonnegative, default=4, help="strategy height cap exponent")
     p.add_argument("--out", help="transcript path (JSON lines)")
     p.set_defaults(handler=_cmd_game_run, command_path="game run")
 
@@ -347,7 +347,7 @@ def _build_parser():
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--cap", type=int, required=True)
+    p.add_argument("--cap", type=nonnegative, required=True)
     p.add_argument(
         "--K-exps", required=True, help="comma-separated exponents, 'zero' allowed"
     )

@@ -40,6 +40,8 @@ def packing_count(beta, m: int, n: int, k: int) -> PackingCount:
     beta = Fraction(beta)
     if not 0 < beta < 1:
         raise ValueError("beta must lie in (0, 1)")
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
     i = floor_log(beta, k) + 1
     mn = m * n
     coarse = k ** (max(0, -i - 1) * mn)
@@ -52,6 +54,8 @@ def dim_lower_bound(alpha, beta, m: int, n: int, k: int) -> Fraction:
     exactly (j-1)mn / (a+j), monotone toward mn as j grows."""
     a = _kpower_exponent(alpha, k, "alpha")
     j = _kpower_exponent(beta, k, "beta")
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
     return Fraction((j - 1) * m * n, a + j)
 
 

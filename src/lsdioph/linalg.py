@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 
 from .field import FieldSpec, Poly
-from .series import RationalFn, SeriesMatrix, scalar_zero, vec_dot
+from .series import RationalFn, SeriesMatrix, vec_dot
 
 
 def det(matrix: SeriesMatrix):
@@ -252,6 +252,20 @@ def _coefficients(x, lo: int) -> dict:
     return x.to_series(precision=max(1, lead - lo + 1)).coeffs
 
 
+def height_vectors(echelon: FqEchelon, h: int, m: int):
+    """The solutions of height exactly k^h of a homogeneous system in the
+    q_{i,t}, t <= h, ordered as ``coefficient_row`` orders them, as tuples
+    of m polynomials; none, with no enumeration, once the degree-h block is
+    all pivots."""
+    spec, top = echelon.spec, h * m
+    if all(c in echelon.rows for c in range(top, top + m)):
+        return []
+    vecs = [[0] * echelon.nvars]
+    for b in echelon.nullspace():
+        vecs = [_sub_multiple(spec, v, c, b) for c in spec.elements() for v in vecs]
+    return [tuple(Poly(spec, v[i::m]) for i in range(m)) for v in vecs if any(v[top:])]
+
+
 def least_levels(A: SeriesMatrix, cap: int, deepest, cols=None):
     """Per height h <= cap, the least distance exponent of a q of height
     exactly k^h, or None when some q has distance <= k^deepest(h)."""
@@ -308,19 +322,3 @@ def first_vector(A: SeriesMatrix, h: int, level: int, cols=None, exact=True):
                 break
         q.append(Poly(spec, coeffs))
     return tuple(q)
-
-
-def mat_mul(a: SeriesMatrix, b: SeriesMatrix) -> SeriesMatrix:
-    if a.cols != b.rows:
-        raise ValueError("shape mismatch in matrix product")
-    zero = scalar_zero(a.spec, a.entry(0, 0))
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = zero
-            for t in range(a.cols):
-                acc = acc + a.entry(i, t) * b.entry(t, j)
-            row.append(acc)
-        out.append(row)
-    return SeriesMatrix(a.spec, out)

@@ -253,12 +253,6 @@ class LaurentSeries:
             raise PrecisionExhausted(f"coefficients above X^{e} not all known")
         return LaurentSeries(self.spec, {x: c for x, c in self.coeffs.items() if x >= e})
 
-    def with_precision(self, known_below: int) -> "LaurentSeries":
-        """Forget everything below ``known_below`` (marks the value truncated)."""
-        if self.known_below is not None and known_below < self.known_below:
-            raise PrecisionExhausted("cannot refine precision by declaration")
-        return LaurentSeries(self.spec, self.coeffs, known_below)
-
     # -- identity ------------------------------------------------------------
 
     def _key(self):
@@ -570,11 +564,6 @@ def vec_dot(q, column):
     if out is None:
         return scalar_zero(column[0].spec, column[0])
     return out
-
-
-def mat_vec_mul(q, matrix: SeriesMatrix):
-    """Row vector (polynomials) times matrix of scalars."""
-    return tuple(vec_dot(q, matrix.col(j)) for j in range(matrix.cols))
 
 
 # ---------------------------------------------------------------------------

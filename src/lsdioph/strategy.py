@@ -1,6 +1,6 @@
 """White's play in the ball game: marker schedules, the two families of
-height-window inequalities the strategy keeps unsolvable, danger-set
-enumeration over canonicalized balls, minor vectors with their discrete
+height-window inequalities the strategy keeps unsolvable, danger sets read
+off level spaces over canonicalized balls, minor vectors with their discrete
 gradients, the literal gradient-anchored move rule, a practical avoidance
 strategy, and truncated badness certification of the game's limit point.
 
@@ -23,13 +23,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .approx import LinearFormSystem, build_hat, exact_dist, iter_height_class, iter_polys
+from .approx import LinearFormSystem, build_hat, exact_dist, iter_polys
 from .approx import height_class_rank, truncation_depth
 from .errors import CounterexampleFound, NoLegalCenter, SearchBudgetExceeded
 from .field import FieldSpec, Magnitude, Poly, floor_log
 from .game import FormalBall, GameTranscript, canonicalize, legal_center_shift_exponent
-from .linalg import FqEchelon, det_entries, first_vector, least_levels, poly_rank
-from .linalg import series_vec_rank_at_zero
+from .linalg import FqEchelon, coefficient_row, det_entries, first_vector, height_vectors
+from .linalg import least_levels, poly_rank, series_vec_rank_at_zero
 from .series import LaurentSeries, SeriesMatrix, vec_dot
 
 DANGER_BUDGET = 200_000
@@ -146,23 +146,12 @@ def _block_digits(center: SeriesMatrix, kind: str):
     return [[x.coeffs for x in line] for line in lines]
 
 
-def _has_frac_digit(blocks, q_first, floor: int, spec: FieldSpec) -> bool:
-    """Does some block value sum_i q_i a_i (exact, from ``_block_digits``)
-    have a nonzero coefficient at an exponent in (floor, -1]?  Each
-    coefficient is sum_i sum_j q_i[j] a_i[x - j]; the scan runs down from
-    x = -1 and stops at the first nonzero one."""
-    terms = [(i, j, c) for i, p in enumerate(q_first) for j, c in enumerate(p.coeffs) if c]
-    add, mul = spec.add, spec.mul
-    for x in range(-1, floor, -1):
-        for line in blocks:
-            s = 0
-            for i, j, c in terms:
-                a = line[i].get(x - j)
-                if a:
-                    s = add(s, mul(c, a))
-            if s:
-                return True
-    return False
+def _danger_rows(blocks, h: int, top: int, floor: int):
+    """Rows in the q_{i,t}, t <= h, of "the X^s coefficient of every block
+    value vanishes" for top >= s > floor: q solves them all exactly when
+    each value sum_i q_i a_i (coefficient dicts from ``_block_digits``) has
+    frac <= k^floor."""
+    return [coefficient_row(line, s, h) + [0] for s in range(top, floor, -1) for line in blocks]
 
 
 def check_inequalities(
@@ -211,7 +200,11 @@ def danger_set(
 
     Decidable exactly: the ball is ``center + perturbation`` with
     perturbation norm <= k^e, and a perturbation can cancel a block value
-    precisely when the value's norm is at most height(q) * k^e.
+    precisely when the value's norm is at most height(q) * k^e.  So the
+    dangers of height k^h are the height-h vectors of a level space, listed
+    in ``iter_height_class`` order, each followed by its tail variants.  The
+    budget counts the vectors an enumeration of the height classes in that
+    order would visit: k^(first(h+1)) - 1 up to height k^h.
     """
     spec = cfg.spec
     k = spec.k
@@ -224,25 +217,26 @@ def danger_set(
     max_deg = _ceil_minus_one(window)
     if height_cap is not None:
         max_deg = min(max_deg, int(height_cap.exponent().__floor__()))
+    h = 0
+    while k ** (first * (h + 1)) - 1 <= DANGER_BUDGET:
+        h += 1
+    if h <= max_deg:
+        raise SearchBudgetExceeded(
+            f"danger enumeration exceeded the budget of {DANGER_BUDGET} vectors"
+            f" at height k^{h}",
+            count=DANGER_BUDGET,
+        )
+    blocks = _block_digits(C, kind)
     solutions = []
-    count = 0
     for h in range(0, max_deg + 1):
         pert = Magnitude.power(k, h + e)
-        for q_first in iter_height_class(spec, first, h):
-            if count >= DANGER_BUDGET:
-                raise SearchBudgetExceeded(
-                    f"danger enumeration exceeded the budget of {DANGER_BUDGET} vectors"
-                    f" at height k^{h}",
-                    count=count,
-                )
-            count += 1
+        floor = max(h + e, _ceil_minus_one(thr.exponent()))
+        space = FqEchelon(spec, first * (h + 1))
+        for row in _danger_rows(blocks, h, -1, floor):
+            space.add(row)
+        vectors = height_vectors(space, h, first)
+        for q_first in sorted(vectors, key=lambda q: height_class_rank(q, h, k)):
             values = _block_values(C, kind, q_first)
-            fractional = [v.frac_norm() for v in values]
-            reachable = [
-                Magnitude.zero(k) if f <= pert else f for f in fractional
-            ]
-            if not all(r < thr for r in reachable):
-                continue
             tails = [(-v.polynomial_part()) for v in values]
             solutions.append(tuple(q_first) + tuple(tails))
             if pert >= Magnitude.power(k, 0):
@@ -535,45 +529,49 @@ class AvoidanceWhite:
         self.cfg = cfg
         self._rows = {"k": [], "h": []}  # admitted-height rows, see _admitted
         self._next_level = {"k": 0, "h": 0}
-        self._live = {}  # (kind, h) -> first blocks of height k^h not yet pinned safe
+        # (kind, h) -> (echelon of the danger rows, lowest exponent they
+        # reach), or None once no vector of height k^h is left
+        self._spaces = {}
         self.dodges = 0
 
     def active_dangers(self, t: GameTranscript):
         """Danger vectors of the current ball as ``(kind, q_first, h, block
         values at the center, threshold exponent)``, each once, at the lowest
         level whose window admits its height: thresholds fall as levels rise,
-        so that level decides the test and gives the smallest margin.  A
-        vector with a value above both the threshold and the perturbation
-        allowance is pinned safe for the rest of the game: those value
-        coefficients lie above the radius, and the allowance only shrinks."""
+        so that level decides the test and gives the smallest margin.  The
+        dangers of height k^h are the height-h vectors of a level space: a
+        vector is safe once some block value has a fractional digit above
+        both the perturbation allowance and the threshold.  Those digits lie
+        above the radius, and the allowance only shrinks, so each (kind, h)
+        keeps its rows for the game and adds only those of the exponents its
+        floor newly passes."""
         cfg = self.cfg
-        spec = cfg.spec
         prev = t.last()
         e = prev.effective_exponent()
         radius = min(b.radius for b in t.black_balls())
         out = []
         for kind in ("k", "h"):
             stop = cfg.marker_level(kind, radius) + LOOKAHEAD + 1
+            first = cfg.first_block(kind)
             blocks = _block_digits(prev.center, kind)
             for h, i, thr in self._admitted(kind, stop):
                 if i >= stop:
                     break
-                if (kind, h) not in self._live:
-                    self._live[(kind, h)] = list(
-                        iter_height_class(spec, cfg.first_block(kind), h)
-                    )
-                # a value is above both pert = k^(h+e) and thr exactly when
-                # it has a fractional digit above this floor
+                key = (kind, h)
+                if key not in self._spaces:
+                    self._spaces[key] = (FqEchelon(cfg.spec, first * (h + 1)), 0)
+                if self._spaces[key] is None:
+                    continue
+                space, reach = self._spaces[key]
                 thr_exp = thr.exponent()
                 floor = max(h + e, _ceil_minus_one(thr_exp))
-                live = []
-                for q_first in self._live[(kind, h)]:
-                    if _has_frac_digit(blocks, q_first, floor, spec):
-                        continue
-                    live.append(q_first)
+                for row in _danger_rows(blocks, h, reach - 1, floor):
+                    space.add(row)
+                vectors = height_vectors(space, h, first)
+                self._spaces[key] = (space, min(reach, floor + 1)) if vectors else None
+                for q_first in vectors:
                     values = _block_values(prev.center, kind, q_first)
                     out.append((kind, q_first, h, values, thr_exp))
-                self._live[(kind, h)] = live
         return out
 
     def _admitted(self, kind: str, stop: int) -> list:

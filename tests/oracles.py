@@ -3,8 +3,10 @@ exhaustive searches, two of which visit every q in ``iter_height_class``
 order (only the import of PrecisionExhausted is rewritten) and the
 pigeonhole one every q of bounded degree, and the old F_q null space.
 Also the ``Magnitude`` that stored every exponent as a ``Fraction``,
-renamed ``OracleMagnitude`` and otherwise verbatim; and the ball containment
-test and White's safe test that read whole differences and products."""
+renamed ``OracleMagnitude`` and otherwise verbatim; the ball containment
+test and White's safe test that read whole differences and products; and
+the danger-set enumeration and White's digit scan that level spaces
+replaced, renamed with an ``oracle_`` prefix and otherwise verbatim."""
 
 import itertools
 from fractions import Fraction
@@ -25,9 +27,19 @@ from lsdioph.errors import (
     SearchBudgetExceeded,
     WitnessNotFound,
 )
-from lsdioph.field import Magnitude
+from lsdioph.field import FieldSpec, Magnitude
+from lsdioph.game import FormalBall, canonicalize
+from lsdioph.linalg import poly_rank
 from lsdioph.series import RationalFn, SeriesMatrix, vec_dot, vec_height
-from lsdioph.strategy import BadnessCertificate, StrategyConfig, _block_values
+from lsdioph.strategy import (
+    DANGER_BUDGET,
+    BadnessCertificate,
+    DangerReport,
+    StrategyConfig,
+    _block_values,
+    _ceil_minus_one,
+    _tail_variants,
+)
 
 
 def oracle_badness_constant(
@@ -346,3 +358,76 @@ def oracle_pinned_safe(center: SeriesMatrix, kind: str, q_first, pert, thr) -> b
     values = _block_values(center, kind, q_first)
     fracs = [v.frac_norm() for v in values]
     return any(f > pert and f >= thr for f in fracs)
+
+
+def oracle_danger_set(
+    ball: FormalBall,
+    i: int,
+    kind: str,
+    cfg: StrategyConfig,
+    height_cap: Magnitude | None = None,
+) -> DangerReport:
+    """All lattice vectors in the level-i height window for which some matrix
+    in the (canonicalized) ball satisfies the value inequality.
+
+    Decidable exactly: the ball is ``center + perturbation`` with
+    perturbation norm <= k^e, and a perturbation can cancel a block value
+    precisely when the value's norm is at most height(q) * k^e.
+    """
+    spec = cfg.spec
+    k = spec.k
+    canonical = canonicalize(ball)
+    e = canonical.effective_exponent()
+    C = canonical.center
+    first = cfg.first_block(kind)
+    window = cfg.window_exponent(kind, i)
+    thr = Magnitude(k, cfg.threshold_exponent(kind, i))
+    max_deg = _ceil_minus_one(window)
+    if height_cap is not None:
+        max_deg = min(max_deg, int(height_cap.exponent().__floor__()))
+    solutions = []
+    count = 0
+    for h in range(0, max_deg + 1):
+        pert = Magnitude.power(k, h + e)
+        for q_first in iter_height_class(spec, first, h):
+            if count >= DANGER_BUDGET:
+                raise SearchBudgetExceeded(
+                    f"danger enumeration exceeded the budget of {DANGER_BUDGET} vectors"
+                    f" at height k^{h}",
+                    count=count,
+                )
+            count += 1
+            values = _block_values(C, kind, q_first)
+            fractional = [v.frac_norm() for v in values]
+            reachable = [
+                Magnitude.zero(k) if f <= pert else f for f in fractional
+            ]
+            if not all(r < thr for r in reachable):
+                continue
+            tails = [(-v.polynomial_part()) for v in values]
+            solutions.append(tuple(q_first) + tuple(tails))
+            if pert >= Magnitude.power(k, 0):
+                solutions.extend(
+                    _tail_variants(q_first, values, tails, pert, thr, spec)
+                )
+    rank = poly_rank(solutions, spec) if solutions else 0
+    return DangerReport(i, kind, tuple(solutions), rank)
+
+
+def oracle_has_frac_digit(blocks, q_first, floor: int, spec: FieldSpec) -> bool:
+    """Does some block value sum_i q_i a_i (exact, from ``_block_digits``)
+    have a nonzero coefficient at an exponent in (floor, -1]?  Each
+    coefficient is sum_i sum_j q_i[j] a_i[x - j]; the scan runs down from
+    x = -1 and stops at the first nonzero one."""
+    terms = [(i, j, c) for i, p in enumerate(q_first) for j, c in enumerate(p.coeffs) if c]
+    add, mul = spec.add, spec.mul
+    for x in range(-1, floor, -1):
+        for line in blocks:
+            s = 0
+            for i, j, c in terms:
+                a = line[i].get(x - j)
+                if a:
+                    s = add(s, mul(c, a))
+            if s:
+                return True
+    return False

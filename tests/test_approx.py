@@ -24,9 +24,9 @@ from lsdioph.series import (
     RationalFn,
     SeriesMatrix,
     lattice_distance,
-    mat_vec_mul,
     parse_poly,
     parse_series,
+    vec_dot,
 )
 
 F2 = FieldSpec(2)
@@ -97,7 +97,7 @@ def test_hat_columns_reproduce_lattice_distance_m2n2():
         )
         if all(p.is_zero for p in q_head):
             continue
-        partial = mat_vec_mul(q_head, A)
+        partial = tuple(vec_dot(q_head, A.col(j)) for j in range(A.cols))
         dist = lattice_distance(partial)
         # oracle: brute-force minimum over low-degree lattice vectors
         assert dist == brute_force_lattice_minimum(partial, F2, 3)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, Phase, find, given, settings
@@ -264,6 +265,17 @@ def test_game_run_work_follows_the_game_not_the_cap(capsys):
     assert games[0] == games[1]
 
 
+@pytest.mark.parametrize("white, cap", [("white-avoid", "20"), ("white-literal", "18")])
+def test_white_work_follows_the_game_not_the_cap(capsys, white, cap):
+    # dangers come from level spaces, not from height classes of k^(cap+1)
+    # vectors: an enumeration of them took 53 s and 11 s on a 2-core Xeon
+    argv = ["game", "run", "--field", "2", "--alpha", "1/4", "--beta", "1/2", "--rounds", "24"]
+    start = time.perf_counter()
+    code, _, _ = run_cli(capsys, *argv, "--seed", "7", "--white", white, "--cap", cap)
+    assert code == 0
+    assert time.perf_counter() - start < 5
+
+
 def test_dirichlet_passes_the_budget_on(capsys):
     argv = ["dirichlet", "--field", "2", "--matrix", "X^-1; X^-2", "--t", "4", "--no-timestamp"]
     code, _, err = run_cli(capsys, *argv, "--budget", "1023")
@@ -301,13 +313,17 @@ BOXCOUNT = ("dim", "boxcount", "--field", "2", "--cap", "2", "--no-timestamp")
         (BOXCOUNT + ("--t", "2", "--m", "0", "--K-exps=-4"), "ValueError"),
         (BOXCOUNT + ("--t", "2", "--K-exps=abc"), "ValueError"),
         (BOXCOUNT + ("--t", "2", "--K-exps=1/2"), "ValueError"),
+        (("dim", "pack", "--beta", "1/4", "--m", "-1"), "ValueError"),
+        (("dim", "bound", "--alpha", "1/4", "--beta", "1/4", "--m", "-2"), "ValueError"),
+        (("dim", "bound", "--alpha", "1/4", "--beta", "1/4", "--n", "0"), "ValueError"),
         (("series", "--x", "X^^2"), "SeriesSyntaxError"),
         (("series", "--field", "3", "--x", "5*X"), "CoefficientOutOfRange"),
         (("series", "--x", "X", "--y", "0", "--op", "div"), "DivisionByZero"),
     ],
     ids=[
         "config-last-word", "config-missing", "transcript-missing", "t-zero",
-        "m-zero", "K-exps-word", "K-exps-fraction", "syntax", "coefficient",
+        "m-zero", "K-exps-word", "K-exps-fraction", "pack-m-negative",
+        "bound-m-negative", "bound-n-zero", "syntax", "coefficient",
         "division-by-zero",
     ],
 )
@@ -404,8 +420,10 @@ def test_boxcount_threads_flag_has_no_effect(capsys):
         (("badness", "--matrix", "X^-1", "--cap", "-1"), "--cap"),
         (("certify", "--transcript", "{transcript}", "--cap", "-1"), "--cap"),
         (("badness", "--matrix", "X^-1", "--cap", "2", "--budget", "-1"), "--budget"),
+        (("game", "run", "--alpha", "1/4", "--beta", "1/2", "--cap", "-1"), "--cap"),
+        (("dim", "boxcount", "--cap", "-1", "--t", "2", "--K-exps=-4"), "--cap"),
     ],
-    ids=["badness-cap", "certify-cap", "budget"],
+    ids=["badness-cap", "certify-cap", "budget", "game-run-cap", "boxcount-cap"],
 )
 def test_negative_cap_and_budget_exit_2_by_name(tmp_path, capsys, argv, flag):
     transcript = _small_transcript(tmp_path, capsys)

@@ -18,8 +18,8 @@ from lsdioph.geom import (
     structured_pair,
     successive_minima,
 )
-from lsdioph.linalg import adjugate, det, mat_mul, poly_independent
-from lsdioph.series import LaurentSeries, SeriesMatrix, parse_matrix
+from lsdioph.linalg import adjugate, det, poly_independent
+from lsdioph.series import LaurentSeries, SeriesMatrix, parse_matrix, vec_dot
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -319,12 +319,13 @@ def test_adjugate_identity():
     rng = random.Random(43)
     for d in (2, 3):
         M = random_invertible_poly_matrix(rng, F2, d, 1)
-        product = mat_mul(M, adjugate(M))
+        adj = adjugate(M)
+        product = [[vec_dot(M.row(i), adj.col(j)) for j in range(d)] for i in range(d)]
         dd = det(M)
         for i in range(d):
             for j in range(d):
                 expected = dd if i == j else LaurentSeries.zero(F2)
-                assert product.entry(i, j) == expected
+                assert product[i][j] == expected
 
 
 def test_measure_exponent_consistency():

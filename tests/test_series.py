@@ -237,17 +237,6 @@ def test_rational_fn_matches_series_arithmetic():
     assert r.to_series(precision=10) == x
 
 
-def test_with_precision_declares_truncation():
-    x = parse_series("X + X^-2", F2)
-    t = x.with_precision(-2)
-    assert t.known_below == -2
-    assert t.coefficient(-2) == 1
-    with pytest.raises(PrecisionExhausted):
-        t.coefficient(-3)
-    with pytest.raises(PrecisionExhausted):
-        t.with_precision(-5)  # cannot refine precision by declaration
-
-
 def test_rational_division_by_zero():
     r = RationalFn(Poly.one(F2), Poly.x(F2))
     with pytest.raises(DivisionByZero):

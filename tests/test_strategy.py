@@ -1,14 +1,17 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracles import oracle_pinned_safe
+import oracles
+from oracles import oracle_danger_set, oracle_has_frac_digit, oracle_pinned_safe
 
+from lsdioph import strategy
 from lsdioph.approx import LinearFormSystem, iter_height_class
-from lsdioph.errors import CounterexampleFound, NoLegalCenter
+from lsdioph.errors import CounterexampleFound, NoLegalCenter, SearchBudgetExceeded
 from lsdioph.field import FieldSpec, Magnitude, Poly, floor_log
 from lsdioph.game import (
     ConcentricStrategy,
@@ -38,7 +41,7 @@ from lsdioph.strategy import (
     _block_digits,
     _block_values,
     _ceil_minus_one,
-    _has_frac_digit,
+    _danger_rows,
     _pattern_matrix,
     _single_entry_patterns,
     LiteralWhite,
@@ -1013,8 +1016,10 @@ def test_dangers_sit_at_their_lowest_level(field, shape, cap, R_exp, seed, round
     data=st.data(),
 )
 def test_frac_digit_scan_matches_the_safe_test(field, shape, kind, cancel, e, thr_exp, data):
-    """The digit scan against the test on whole block values, with values
-    that cancel down to one deep coefficient when ``cancel`` is drawn."""
+    """q solves every danger row exactly when the digit scan and the test on
+    whole block values find it live, with values that cancel down to one
+    deep coefficient when ``cancel`` is drawn.  The rows are checked one by
+    one: the null space can hold 9^15 vectors."""
     spec = FieldSpec(*field)
     rows, cols = shape
     coeffs = st.dictionaries(st.integers(-12, 2), st.integers(0, spec.k - 1), max_size=6)
@@ -1039,8 +1044,83 @@ def test_frac_digit_scan_matches_the_safe_test(field, shape, kind, cancel, e, th
     k = spec.k
     pert, thr = Magnitude.power(k, h + e), Magnitude(k, thr_exp)
     floor = max(h + e, _ceil_minus_one(thr_exp))
-    got = _has_frac_digit(_block_digits(center, kind), q_first, floor, spec)
-    assert got == oracle_pinned_safe(center, kind, q_first, pert, thr)
+    blocks = _block_digits(center, kind)
+    x = [p.coeffs[t] if t < len(p.coeffs) else 0 for t in range(h + 1) for p in q_first]
+    live = True
+    for row in _danger_rows(blocks, h, -1, floor):
+        value = 0
+        for a, b in zip(row, x):
+            value = spec.add(value, spec.mul(a, b))
+        live = live and value == 0
+    assert live != oracle_has_frac_digit(blocks, q_first, floor, spec)
+    assert live != oracle_pinned_safe(center, kind, q_first, pert, thr)
+
+
+@settings(max_examples=150)
+@given(
+    field=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]),
+    shape=st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+    kind=st.sampled_from(["k", "h"]),
+    R_exp=st.integers(1, 2),
+    offset=st.integers(-1, 6),
+    e=st.integers(-20, 2),
+    cap=st.one_of(st.none(), st.integers(0, 4)),
+    budget=st.one_of(st.none(), st.integers(0, 60)),
+    planted=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+# pert >= 1 from height k^1 on: every vector is a danger, with tail variants
+@example(field=(2, 1), shape=(1, 1), kind="k", R_exp=1, offset=3, e=-1, cap=None,
+         budget=None, planted=False, seed=0)
+def test_danger_set_matches_the_oracle(
+    field, shape, kind, R_exp, offset, e, cap, budget, planted, seed
+):
+    """Level-space dangers against the enumeration, raise for raise.  The
+    enumeration visits 200,000 vectors before the real budget trips, so
+    under it the height classes stay small; a drawn budget is patched into
+    both and tripped."""
+    spec = FieldSpec(*field)
+    m, n = shape
+    cfg = StrategyConfig(spec, m, n, R_exp=R_exp, height_cap_exp=4)
+    if budget is None:
+        budget, cap = strategy.DANGER_BUDGET, 4 if cap is None else cap
+        while cap and spec.k ** (cfg.first_block(kind) * (cap + 1)) > 100:
+            cap -= 1
+    level = offset + next(i for i in itertools.count() if cfg.window_exponent(kind, i) > 0)
+    rng = random.Random(seed)
+    if planted:
+        target = [[_rational_target(rng, spec) for _ in range(n)] for _ in range(m)]
+        center = SeriesMatrix(spec, target).map(lambda x: x.truncate_below(e + 1))
+        ball = FormalBall(center, Magnitude.power(spec.k, e).as_fraction())
+    else:
+        ball = random_ball(rng, spec, m, n, e, max(1, 4 - e))
+    height_cap = None if cap is None else Magnitude.power(spec.k, cap)
+
+    def outcome(search):
+        try:
+            return search(ball, level, kind, cfg, height_cap=height_cap)
+        except SearchBudgetExceeded as exc:
+            return str(exc), exc.count
+
+    with patch.object(strategy, "DANGER_BUDGET", budget):
+        with patch.object(oracles, "DANGER_BUDGET", budget):
+            assert outcome(danger_set) == outcome(oracle_danger_set)
+
+
+def test_danger_budget_trips_where_the_enumeration_did():
+    # 2^18 - 1 vectors of height <= 2^17 pass the budget: the enumeration
+    # stops at its 200,001st vector with this message
+    cfg = StrategyConfig(F2, 1, 1, R_exp=1)
+    ball = random_ball(random.Random(1), F2, 1, 1, -30, 20)
+    level = next(i for i in itertools.count() if cfg.window_exponent("k", i) > 19)
+    with pytest.raises(SearchBudgetExceeded) as exc:
+        danger_set(ball, level, "k", cfg, height_cap=Magnitude.power(2, 18))
+    assert str(exc.value) == (
+        "danger enumeration exceeded the budget of 200000 vectors at height k^17"
+    )
+    assert exc.value.count == 200_000
+    # 2^17 - 1 vectors up to height 2^16 stay within it
+    assert danger_set(ball, level, "k", cfg, height_cap=Magnitude.power(2, 16)).level == level
 
 
 def _rescan_marker_level(cfg, kind, radius):
