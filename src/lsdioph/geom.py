@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .errors import SearchIncomplete
 from .field import Magnitude
-from .linalg import adjugate, det, level_space, poly_independent
+from .linalg import PolyEchelon, det, level_space
 from .series import LaurentSeries, SeriesMatrix, vec_dot
 
 
@@ -46,7 +46,7 @@ class Parallelepiped:
         for c in self.bounds:
             if c.is_zero or c.exponent().denominator != 1:
                 raise ValueError("bounds must be positive integer powers of k")
-        if det(self.matrix).is_zero:
+        if self.det_adj[0].is_zero:
             raise ValueError("matrix is singular")
 
     @property
@@ -73,6 +73,11 @@ class Parallelepiped:
             self.spec, [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
         )
 
+    @cached_property
+    def det_adj(self):
+        """(det, adj) of the scaled matrix, from one elimination; adj is None if singular."""
+        return det(self.scaled_matrix, with_adjugate=True)
+
 
 def distance_value(P: Parallelepiped, x) -> Magnitude:
     """F(x) = max_j ||(xA)_j|| / c_j for a vector of scalars."""
@@ -90,7 +95,7 @@ def parallelepiped_measure(P: Parallelepiped) -> Fraction:
 def measure_exponent_dual(P: Parallelepiped) -> int:
     """Exponent e with measure = k^-e; equals the det exponent of the scaled
     matrix (the product law reads: minima exponents sum to e)."""
-    return int(det(P.scaled_matrix).norm().exponent())
+    return int(P.det_adj[0].norm().exponent())
 
 
 @dataclass(frozen=True)
@@ -115,21 +120,14 @@ def successive_minima(P: Parallelepiped, degree_bound: int | None = None) -> Suc
     over F_q(X) yields the minima.  The product law against the measure is
     asserted at the end, certifying completeness.
     """
-    spec = P.spec
-    d = P.dim
-    scaled = P.scaled_matrix
-    det_exp = int(det(scaled).norm().exponent())
-    adj = adjugate(scaled)
-    adj_lead = max(
-        int(x.norm().exponent())
-        for row in adj.entries
-        for x in row
-        if not x.is_zero
-    )
+    spec, d = P.spec, P.dim
+    det_exp = measure_exponent_dual(P)
+    adj_lead = max(x.lead_exp for row in P.det_adj[1].entries for x in row if not x.is_zero)
     slack = adj_lead - det_exp
 
     witnesses = []
     values = []
+    echelon = PolyEchelon()
     e = -slack
     e_cap = det_exp + max(0, (d - 1) * slack) + 1
     while len(witnesses) < d:
@@ -145,10 +143,10 @@ def successive_minima(P: Parallelepiped, degree_bound: int | None = None) -> Suc
             raise SearchIncomplete(
                 f"level k^{e} needs vectors of degree up to {box}", box
             )
-        for vec in level_space(scaled, e, box):
+        for vec in level_space(P.scaled_matrix, e, box):
             if len(witnesses) == d:
                 break
-            if poly_independent(vec, witnesses, spec):
+            if echelon.add(vec):
                 val = distance_value(P, vec)
                 if val != Magnitude.power(spec.k, e):
                     raise SearchIncomplete(
@@ -173,10 +171,8 @@ def polar(P: Parallelepiped) -> Parallelepiped:
     ||x . y|| / ||x B|| is ||B^-1 y||_inf, so the polar body has matrix
     adj(B)^T and every bound equal to ||det B||.
     """
-    scaled = P.scaled_matrix
-    adj_t = adjugate(scaled).transpose()
-    det_norm = det(scaled).norm()
-    return Parallelepiped(adj_t, (det_norm,) * P.dim)
+    det_b, adj = P.det_adj
+    return Parallelepiped(adj.transpose(), (det_b.norm(),) * P.dim)
 
 
 def structured_pair(C: SeriesMatrix, m: int, n: int, level: int, R_exp: int):

@@ -3,8 +3,9 @@ matrices, rank of polynomial vectors over the rational function field, one
 incremental elimination over F_q, and the level spaces built on it: the
 F_q-subspaces of bounded-degree q whose products qA are small.
 
-Dimensions in this package are tiny (d <= 6 or so); cofactor expansion and
-plain Gaussian elimination are the right tools.
+Dimensions in this package are tiny (d <= 6 or so).  Determinants and
+adjugates of exact matrices come from one fraction-free elimination;
+cofactor expansion is left only for small minors of truncated entries.
 """
 
 from __future__ import annotations
@@ -12,17 +13,64 @@ from __future__ import annotations
 import bisect
 
 from .field import FieldSpec, Poly
-from .series import RationalFn, SeriesMatrix, vec_dot
+from .series import LaurentSeries, RationalFn, SeriesMatrix, vec_dot
 
 
-def det(matrix: SeriesMatrix):
-    """Determinant of a square scalar matrix by cofactor expansion."""
-    if matrix.rows != matrix.cols:
-        raise ValueError("determinant of a nonsquare matrix")
-    return _det_rows(matrix.entries, matrix.spec)
+def det(matrix: SeriesMatrix, with_adjugate: bool = False):
+    """Determinant of a square matrix of exact finite-support entries, 0
+    when singular, by fraction-free (Bareiss) elimination: Laurent
+    polynomials form an integral domain, so by Sylvester's identity each
+    division by the previous pivot is exact.  With ``with_adjugate``, the
+    pair (det, adj) from one Gauss-Jordan elimination of [M | I], whose
+    right block ends as adj; adj is None when M is singular."""
+    n, spec = matrix.rows, matrix.spec
+    entries = [x for r in matrix.entries for x in r]
+    if n != matrix.cols or not all(isinstance(x, LaurentSeries) and x.is_exact for x in entries):
+        raise ValueError("det needs a square matrix of exact finite-support entries")
+    zero, one = LaurentSeries.zero(spec), LaurentSeries.one(spec)
+    a = [list(r) + [one if i == j else zero for j in range(n if with_adjugate else 0)]
+         for i, r in enumerate(matrix.entries)]
+    prev = one
+    for k in range(n):
+        p = next((i for i in range(k, n) if not a[i][k].is_zero), None)
+        if p is None:
+            return (zero, None) if with_adjugate else zero
+        if p != k:  # a swap and a negated row: the determinant stays
+            a[k], a[p] = a[p], [-x for x in a[k]]
+        piv, row = a[k][k], a[k][k + 1 :]
+        for i in range(0 if with_adjugate else k + 1, n):
+            if i != k:
+                c, tail = a[i][k], a[i][k + 1 :]
+                a[i][k + 1 :] = [_cross(piv, x, c, y, prev) for x, y in zip(tail, row)]
+        prev = piv
+    return (prev, SeriesMatrix(spec, [r[n:] for r in a])) if with_adjugate else prev
 
 
-def _det_rows(rows, spec):
+def _cross(piv, x, c, y, prev):
+    """(piv * x - c * y) / prev when prev divides it: the division runs over
+    the quotient's whole span, and a remainder raises."""
+    num = piv * x if not c.coeffs or not y.coeffs else piv * x - c * y
+    if not num.coeffs or prev.coeffs == {0: 1}:
+        return num
+    span = num.lead_exp - prev.lead_exp - min(num.coeffs) + min(prev.coeffs) + 1
+    if span < 1 or not (q := num.divide(prev, span)).is_exact:
+        raise ArithmeticError("inexact division in fraction-free elimination")
+    return q
+
+
+def adjugate(matrix: SeriesMatrix) -> SeriesMatrix:
+    """Adjugate, M * adj(M) = det(M) * I, of an invertible matrix of exact
+    finite-support entries; a singular matrix raises ``ValueError``."""
+    adj = det(matrix, with_adjugate=True)[1]
+    if adj is None:
+        raise ValueError("adjugate of a singular matrix")
+    return adj
+
+
+def det_entries(rows, spec):
+    """Determinant of a square list-of-lists of scalars by cofactor
+    expansion: its callers pass <= 3x3 minors of truncated entries, where
+    dividing would lose precision."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -30,81 +78,36 @@ def _det_rows(rows, spec):
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     cofactors = []
     for j in range(n):
-        minor = [
-            [row[jj] for jj in range(n) if jj != j] for row in rows[1:]
-        ]
-        d = _det_rows(minor, spec)
+        minor = [[row[jj] for jj in range(n) if jj != j] for row in rows[1:]]
+        d = det_entries(minor, spec)
         cofactors.append(-d if j % 2 else d)
     return vec_dot(cofactors, rows[0])
 
 
-def det_entries(rows, spec):
-    """Determinant of a square list-of-lists of scalars."""
-    return _det_rows(rows, spec)
+class PolyEchelon:
+    """Incremental fraction-free echelon of polynomial vectors over F_q(X): a
+    kept row is zero before its pivot and at the pivots of earlier rows."""
+
+    def __init__(self):
+        self.rows = {}  # pivot -> row
+
+    def add(self, vector) -> bool:
+        """Keep ``vector`` if it is outside the span of the kept rows; say so."""
+        v = list(vector)
+        for c in self.rows:
+            if not v[c].is_zero:
+                r = self.rows[c]
+                v = [r[c] * x - v[c] * y for x, y in zip(v, r)]
+        c = next((i for i, x in enumerate(v) if not x.is_zero), None)
+        if c is not None:
+            self.rows[c] = v
+        return c is not None
 
 
-def adjugate(matrix: SeriesMatrix) -> SeriesMatrix:
-    """Adjugate (transposed cofactor matrix): M * adj(M) = det(M) * I."""
-    n = matrix.rows
-    if n != matrix.cols:
-        raise ValueError("adjugate of a nonsquare matrix")
-    if n == 1:
-        from .series import scalar_one
-
-        return SeriesMatrix(matrix.spec, [[scalar_one(matrix.spec, matrix.entry(0, 0))]])
-    rows = matrix.entries
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[ii][jj] for jj in range(n) if jj != j]
-                for ii in range(n)
-                if ii != i
-            ]
-            c = _det_rows(minor, matrix.spec)
-            if (i + j) % 2:
-                c = -c
-            out[j][i] = c  # transpose
-    return SeriesMatrix(matrix.spec, out)
-
-
-def poly_rank(vectors, spec: FieldSpec) -> int:
-    """Rank over F_q(X) of a family of polynomial vectors.
-
-    Fraction-free elimination: rows are cross-multiplied by pivots, which
-    changes nothing over the fraction field.
-    """
-    rows = [list(v) for v in vectors if any(not p.is_zero for p in v)]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    rank = 0
-    col = 0
-    while rows and col < width:
-        pivot_idx = next((i for i, r in enumerate(rows) if not r[col].is_zero), None)
-        if pivot_idx is None:
-            col += 1
-            continue
-        pivot_row = rows.pop(pivot_idx)
-        piv = pivot_row[col]
-        rank += 1
-        nxt = []
-        for r in rows:
-            if r[col].is_zero:
-                nxt.append(r)
-                continue
-            c = r[col]
-            new = [piv * r[j] - c * pivot_row[j] for j in range(width)]
-            if any(not p.is_zero for p in new):
-                nxt.append(new)
-        rows = nxt
-        col += 1
-    return rank
-
-
-def poly_independent(vector, basis, spec: FieldSpec) -> bool:
-    """Is ``vector`` outside the F_q(X)-span of ``basis``?"""
-    return poly_rank(list(basis) + [vector], spec) > poly_rank(basis, spec)
+def poly_rank(vectors) -> int:
+    """Rank over F_q(X) of a family of polynomial vectors."""
+    echelon = PolyEchelon()
+    return sum(echelon.add(v) for v in vectors)
 
 
 class FqEchelon:

@@ -243,7 +243,7 @@ def danger_set(
                 solutions.extend(
                     _tail_variants(q_first, values, tails, pert, thr, spec)
                 )
-    rank = poly_rank(solutions, spec) if solutions else 0
+    rank = poly_rank(solutions)
     return DangerReport(i, kind, tuple(solutions), rank)
 
 

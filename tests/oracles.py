@@ -6,7 +6,10 @@ Also the ``Magnitude`` that stored every exponent as a ``Fraction``,
 renamed ``OracleMagnitude`` and otherwise verbatim; the ball containment
 test and White's safe test that read whole differences and products; and
 the danger-set enumeration and White's digit scan that level spaces
-replaced, renamed with an ``oracle_`` prefix and otherwise verbatim."""
+replaced, renamed with an ``oracle_`` prefix and otherwise verbatim.
+Last, the cofactor determinant and adjugate and the column-by-column
+``poly_rank`` that one fraction-free elimination replaced, renamed the same
+way (the adjugate's local import of ``scalar_one`` moved to the top)."""
 
 import itertools
 from fractions import Fraction
@@ -29,8 +32,7 @@ from lsdioph.errors import (
 )
 from lsdioph.field import FieldSpec, Magnitude
 from lsdioph.game import FormalBall, canonicalize
-from lsdioph.linalg import poly_rank
-from lsdioph.series import RationalFn, SeriesMatrix, vec_dot, vec_height
+from lsdioph.series import RationalFn, SeriesMatrix, scalar_one, vec_dot, vec_height
 from lsdioph.strategy import (
     DANGER_BUDGET,
     BadnessCertificate,
@@ -410,7 +412,7 @@ def oracle_danger_set(
                 solutions.extend(
                     _tail_variants(q_first, values, tails, pert, thr, spec)
                 )
-    rank = poly_rank(solutions, spec) if solutions else 0
+    rank = oracle_poly_rank(solutions, spec) if solutions else 0
     return DangerReport(i, kind, tuple(solutions), rank)
 
 
@@ -431,3 +433,83 @@ def oracle_has_frac_digit(blocks, q_first, floor: int, spec: FieldSpec) -> bool:
             if s:
                 return True
     return False
+
+
+def oracle_det(matrix: SeriesMatrix):
+    """Determinant of a square scalar matrix by cofactor expansion."""
+    if matrix.rows != matrix.cols:
+        raise ValueError("determinant of a nonsquare matrix")
+    return _det_rows(matrix.entries, matrix.spec)
+
+
+def _det_rows(rows, spec):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    cofactors = []
+    for j in range(n):
+        minor = [
+            [row[jj] for jj in range(n) if jj != j] for row in rows[1:]
+        ]
+        d = _det_rows(minor, spec)
+        cofactors.append(-d if j % 2 else d)
+    return vec_dot(cofactors, rows[0])
+
+
+def oracle_adjugate(matrix: SeriesMatrix) -> SeriesMatrix:
+    """Adjugate (transposed cofactor matrix): M * adj(M) = det(M) * I."""
+    n = matrix.rows
+    if n != matrix.cols:
+        raise ValueError("adjugate of a nonsquare matrix")
+    if n == 1:
+        return SeriesMatrix(matrix.spec, [[scalar_one(matrix.spec, matrix.entry(0, 0))]])
+    rows = matrix.entries
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [rows[ii][jj] for jj in range(n) if jj != j]
+                for ii in range(n)
+                if ii != i
+            ]
+            c = _det_rows(minor, matrix.spec)
+            if (i + j) % 2:
+                c = -c
+            out[j][i] = c  # transpose
+    return SeriesMatrix(matrix.spec, out)
+
+
+def oracle_poly_rank(vectors, spec: FieldSpec) -> int:
+    """Rank over F_q(X) of a family of polynomial vectors.
+
+    Fraction-free elimination: rows are cross-multiplied by pivots, which
+    changes nothing over the fraction field.
+    """
+    rows = [list(v) for v in vectors if any(not p.is_zero for p in v)]
+    if not rows:
+        return 0
+    width = len(rows[0])
+    rank = 0
+    col = 0
+    while rows and col < width:
+        pivot_idx = next((i for i, r in enumerate(rows) if not r[col].is_zero), None)
+        if pivot_idx is None:
+            col += 1
+            continue
+        pivot_row = rows.pop(pivot_idx)
+        piv = pivot_row[col]
+        rank += 1
+        nxt = []
+        for r in rows:
+            if r[col].is_zero:
+                nxt.append(r)
+                continue
+            c = r[col]
+            new = [piv * r[j] - c * pivot_row[j] for j in range(width)]
+            if any(not p.is_zero for p in new):
+                nxt.append(new)
+        rows = nxt
+        col += 1
+    return rank

@@ -524,12 +524,15 @@ EDGE = ["-1", "0", "99999999999", ""]
 
 @st.composite
 def fuzz_argvs(draw, transcript, command=None):
-    """badness, dirichlet, certify, series, game run, duality or sucmin argvs
-    from formatter output and edge values (negative, zero, huge, empty).  Caps
-    stay at 4 or below, save a huge one for game run, whose work follows the
-    rounds; series precisions stay small or beyond the 10^6 bound: up to it, a
-    quotient that does not terminate takes one division step per unit.  A
-    given command fixes the sub-command instead of drawing it."""
+    """badness, dirichlet, certify, series, game run, duality, sucmin, polar
+    or measure argvs from formatter output and edge values (negative, zero,
+    huge, empty).  Caps stay at 4 or below, save a huge one for game run,
+    whose work follows the rounds; series precisions stay small or beyond the
+    10^6 bound: up to it, a quotient that does not terminate takes one
+    division step per unit.  polar and measure also draw singular matrices
+    and exponents up to +-200000, which sucmin and duality do not: their
+    level walk grows with the spread of the exponents.  A given command fixes
+    the sub-command instead of drawing it."""
     spec = draw(st.sampled_from([FieldSpec(2), FieldSpec(3), FieldSpec(2, 2)]))
     field = str(spec.p) if spec.r == 1 else f"{spec.p}^{spec.r}"
 
@@ -542,18 +545,26 @@ def fuzz_argvs(draw, transcript, command=None):
     text = st.one_of(series, series, edge_text)
     cap = st.sampled_from(["0", "1", "2", "3", "4"] * 2 + ["-1", "", "x"])
     commands = ["badness", "dirichlet", "certify", "series", "game run", "duality", "sucmin"]
+    commands += ["polar", "measure"]
     command = command or draw(st.sampled_from(commands))
     flags = {
         "--field": st.sampled_from([field] * 8 + EDGE),
         "--budget": st.sampled_from(["10", "2000000"] + EDGE),
     }
-    if command in ("badness", "dirichlet", "duality", "sucmin"):
+    bodies = ("duality", "sucmin", "polar", "measure")
+    if command in ("badness", "dirichlet") + bodies:
         m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-        if command in ("duality", "sucmin"):
+        if command in bodies:
             m = n = m + n  # a square matrix
-        entry = formatted(st.integers(-6, 0), st.integers(1, spec.k - 1), min_size=1)
+        wide = command in ("polar", "measure")  # no level walk: any exponent spread
+        exponents = st.integers(-6, 0)
+        if wide:
+            exponents = st.one_of(exponents, st.sampled_from([200000, -200000, 170, -170]))
+        entry = formatted(exponents, st.integers(1, spec.k - 1), min_size=1)
         row = st.lists(entry, min_size=n, max_size=n).map(", ".join)
         matrix = st.lists(row, min_size=m, max_size=m).map("; ".join)
+        if wide:  # one row m times: a singular matrix
+            matrix = st.one_of(matrix, matrix, row.map(lambda r: "; ".join([r] * m)))
         flags["--matrix"] = st.one_of(matrix, matrix, edge_text)
     if command == "badness":
         flags["--cap"] = cap
@@ -563,9 +574,10 @@ def fuzz_argvs(draw, transcript, command=None):
         flags["--t"] = st.sampled_from(["64", "1", "2", "30", "4", "0", "-1", ""])
         flags["--budget"] = st.sampled_from(["10", "10", "2000000", "0", "-1", ""])
         flags["--c0"] = st.sampled_from(["1", "0", "5", "-1", ""])
-    elif command in ("duality", "sucmin"):
+    elif command in bodies:
         flags["--bounds"] = st.sampled_from([",".join(["0"] * m), ",".join(["-1"] * m), "0", "x", ""])
-        flags["--degree-bound"] = st.sampled_from(["2", "0", "-1", ""])
+        if command in ("duality", "sucmin"):
+            flags["--degree-bound"] = st.sampled_from(["2", "0", "-1", ""])
         if command == "duality":
             flags["--m"] = flags["--n"] = st.sampled_from(["1", "2", "3", "0", "-1", ""])
     elif command == "certify":
@@ -614,7 +626,9 @@ def test_main_never_crashes(tmp_path, capsys, data):
 
 
 @pytest.mark.parametrize(
-    "command", ["badness", "dirichlet", "certify", "series", "game run", "duality", "sucmin"]
+    "command",
+    ["badness", "dirichlet", "certify", "series", "game run", "duality", "sucmin"]
+    + ["polar", "measure"],
 )
 def test_fuzzer_reaches_each_command(tmp_path, capsys, command):
     """fuzz_argvs draws argvs of each command that run to exit 0, so a flag
