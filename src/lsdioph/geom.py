@@ -76,7 +76,7 @@ class Parallelepiped:
     @cached_property
     def det_adj(self):
         """(det, adj) of the scaled matrix, from one elimination; adj is None if singular."""
-        return det(self.scaled_matrix, with_adjugate=True)
+        return det(self.scaled_matrix)
 
 
 def distance_value(P: Parallelepiped, x) -> Magnitude:

@@ -16,34 +16,35 @@ from .field import FieldSpec, Poly
 from .series import LaurentSeries, RationalFn, SeriesMatrix, vec_dot
 
 
-def det(matrix: SeriesMatrix, with_adjugate: bool = False):
-    """Determinant of a square matrix of exact finite-support entries, 0
-    when singular, by fraction-free (Bareiss) elimination: Laurent
-    polynomials form an integral domain, so by Sylvester's identity each
-    division by the previous pivot is exact.  With ``with_adjugate``, the
-    pair (det, adj) from one Gauss-Jordan elimination of [M | I], whose
-    right block ends as adj; adj is None when M is singular."""
+def det(matrix: SeriesMatrix):
+    """(det, adj) of a square matrix of exact finite-support entries, from
+    one fraction-free (Bareiss) Gauss-Jordan elimination of [M | I], whose
+    right block ends as adj: Laurent polynomials form an integral domain,
+    so by Sylvester's identity each division by the previous pivot is
+    exact.  A singular M gives (0, None)."""
     n, spec = matrix.rows, matrix.spec
     entries = [x for r in matrix.entries for x in r]
     if n != matrix.cols or not all(isinstance(x, LaurentSeries) and x.is_exact for x in entries):
         raise ValueError("det needs a square matrix of exact finite-support entries")
     zero, one = LaurentSeries.zero(spec), LaurentSeries.one(spec)
-    a = [list(r) + [one if i == j else zero for j in range(n if with_adjugate else 0)]
-         for i, r in enumerate(matrix.entries)]
+    a = [
+        list(r) + [one if i == j else zero for j in range(n)]
+        for i, r in enumerate(matrix.entries)
+    ]
     prev = one
     for k in range(n):
         p = next((i for i in range(k, n) if not a[i][k].is_zero), None)
         if p is None:
-            return (zero, None) if with_adjugate else zero
+            return zero, None
         if p != k:  # a swap and a negated row: the determinant stays
             a[k], a[p] = a[p], [-x for x in a[k]]
         piv, row = a[k][k], a[k][k + 1 :]
-        for i in range(0 if with_adjugate else k + 1, n):
+        for i in range(n):
             if i != k:
                 c, tail = a[i][k], a[i][k + 1 :]
                 a[i][k + 1 :] = [_cross(piv, x, c, y, prev) for x, y in zip(tail, row)]
         prev = piv
-    return (prev, SeriesMatrix(spec, [r[n:] for r in a])) if with_adjugate else prev
+    return prev, SeriesMatrix(spec, [r[n:] for r in a])
 
 
 def _cross(piv, x, c, y, prev):
@@ -61,7 +62,7 @@ def _cross(piv, x, c, y, prev):
 def adjugate(matrix: SeriesMatrix) -> SeriesMatrix:
     """Adjugate, M * adj(M) = det(M) * I, of an invertible matrix of exact
     finite-support entries; a singular matrix raises ``ValueError``."""
-    adj = det(matrix, with_adjugate=True)[1]
+    adj = det(matrix)[1]
     if adj is None:
         raise ValueError("adjugate of a singular matrix")
     return adj

@@ -28,5 +28,5 @@ def random_poly_matrix(rng, spec: FieldSpec, d: int, max_deg: int) -> SeriesMatr
 def random_invertible_poly_matrix(rng, spec: FieldSpec, d: int, max_deg: int) -> SeriesMatrix:
     while True:
         m = random_poly_matrix(rng, spec, d, max_deg)
-        if not det(m).is_zero:
+        if not det(m)[0].is_zero:
             return m

@@ -52,26 +52,25 @@ def power(x, e):
 @SETTINGS
 @given(matrices())
 def test_det_and_adjugate_match_cofactor_expansion(M):
-    d = det(M)
+    d, adj = det(M)
     assert d == oracle_det(M)
     if d.is_zero:
+        assert adj is None
         with pytest.raises(ValueError):
             adjugate(M)
-        assert det(M, with_adjugate=True) == (d, None)
     else:
-        assert adjugate(M) == oracle_adjugate(M)
-        assert det(M, with_adjugate=True) == (d, oracle_adjugate(M))
+        assert adj == adjugate(M) == oracle_adjugate(M)
 
 
 @SETTINGS
 @given(matrices(max_d=5))
 def test_adjugate_identities(M):
     """adj(adj M) = det^(d-2) M and det(adj M) = det^(d-1) for d >= 2."""
-    d, n = det(M), M.rows
+    d, n = det(M)[0], M.rows
     if d.is_zero or n < 2:
         return
     adj = adjugate(M)
-    assert det(adj) == power(d, n - 1)
+    assert det(adj)[0] == power(d, n - 1)
     scale = power(d, n - 2)
     assert adjugate(adj) == M.map(lambda x: scale * x)
 
@@ -89,7 +88,7 @@ def test_adjugate_identities(M):
 def test_det_of_small_matrices(field, text, expected):
     spec = FieldSpec(int(field))
     M = parse_matrix(text, spec)
-    assert str(det(M)) == expected
+    assert str(det(M)[0]) == expected
     assert adjugate(M) == oracle_adjugate(M)
 
 
@@ -108,7 +107,7 @@ def test_quotients_wider_than_the_default_division(monkeypatch):
     monkeypatch.setattr(linalg, "_cross", spy)
     M = parse_matrix("X^20 + 1, X, 0; 2*X^-2, X^-45 + 1, X; X^-20, 1, X^3", FieldSpec(3))
     assert adjugate(M) == oracle_adjugate(M)
-    assert det(M) == oracle_det(M)
+    assert det(M)[0] == oracle_det(M)
     assert max(spans) > 64
 
 
