@@ -393,10 +393,6 @@ def cf_expand(x, max_terms: int) -> ContinuedFraction:
     return _cf_rational(x.num, x.den, max_terms)
 
 
-def cf_expand_rational(num: Poly, den: Poly, max_terms: int = 10**9) -> ContinuedFraction:
-    return _cf_rational(num, den, max_terms)
-
-
 def _cf_rational(num: Poly, den: Poly, max_terms: int) -> ContinuedFraction:
     quotients = []
     a, b = num, den

@@ -38,10 +38,11 @@ from .errors import (
     SearchIncomplete,
     WitnessNotFound,
 )
-from .field import Magnitude, floor_log
+from .field import Magnitude
 from .geom import (
     Parallelepiped,
     check_duality,
+    measure_exponent_dual,
     parallelepiped_measure,
     polar,
     successive_minima,
@@ -499,10 +500,14 @@ def _cmd_sucmin(args):
 
 
 def _cmd_measure(args):
-    spec = parse_field(args.field)
-    P = _parallelepiped(args, spec)
-    mu = parallelepiped_measure(P)
-    return {"measure": str(mu), "measure_exp": floor_log(mu, spec.k)}
+    P = _parallelepiped(args, parse_field(args.field))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the exact measure may exceed the digit limit
+    try:
+        text = str(parallelepiped_measure(P))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    return {"measure": text, "measure_exp": -measure_exponent_dual(P)}
 
 
 def _cmd_polar(args):

@@ -319,20 +319,6 @@ def limit_point(t: GameTranscript, precision: int) -> SeriesMatrix:
 # ---------------------------------------------------------------------------
 
 
-class ConcentricStrategy:
-    """Shrink in place; always legal, for either player."""
-
-    name = "concentric"
-
-    def __init__(self, ratio_key: str):
-        self.ratio_key = ratio_key  # "alpha" or "beta"
-
-    def propose(self, t: GameTranscript) -> FormalBall:
-        prev = t.last()
-        ratio = getattr(t.params, self.ratio_key)
-        return FormalBall(prev.center, ratio * prev.radius)
-
-
 def legal_center_shift_exponent(prev: FormalBall, ratio: Fraction) -> int:
     """Largest exponent g with k^g <= (1 - ratio) * radius: shifts of that
     norm keep the shrunken ball inside ``prev``."""

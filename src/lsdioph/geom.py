@@ -7,12 +7,12 @@ matrix A with exact finite-support entries and k-power bounds c.  Bounds
 fold into the matrix exactly (scaling a column by X^-e multiplies its norms
 by k^-e), so everything reduces to the unit-bound case.
 
-Successive minima are computed exactly: the set of lattice vectors with
-F-value <= k^e is an F_q-vector space cut out by linear conditions on the
-coefficients, so each value level is one nullspace computation, and the
-Minkowski-type product law (the product of the minima equals the reciprocal
-of the measure) certifies that no smaller vector exists outside the
-enumerated degree box.
+Successive minima are computed exactly: over F_q[X] they are the row
+degrees of a weak Popov basis of the lattice, and the Minkowski-type product
+law (the product of the minima equals the reciprocal of the measure)
+certifies them.  Witnesses come from the level walk: the lattice vectors
+with F-value <= k^e and bounded degree are an F_q-vector space cut out by
+linear conditions on the coefficients, one nullspace per minima level.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .errors import SearchIncomplete
 from .field import Magnitude
-from .linalg import PolyEchelon, det, level_space
+from .linalg import PolyEchelon, det, level_space, weak_popov
 from .series import LaurentSeries, SeriesMatrix, vec_dot
 
 
@@ -101,8 +101,24 @@ def measure_exponent_dual(P: Parallelepiped) -> int:
 @dataclass(frozen=True)
 class SuccessiveMinima:
     values: tuple
-    witnesses: tuple
     measure: Fraction
+    body: Parallelepiped
+
+    @cached_property
+    def witnesses(self) -> tuple:
+        """Attaining vectors from the level walk, run at the minima levels only:
+        any other level adds no vector independent over F_q(X) of those kept."""
+        P, slack = self.body, _slack(self.body)
+        witnesses, echelon = [], PolyEchelon()
+        for e in sorted({int(v.exponent()) for v in self.values}):
+            for vec in level_space(P.scaled_matrix, e, e + slack):
+                if len(witnesses) < P.dim and echelon.add(vec):
+                    if (val := distance_value(P, vec)) != Magnitude.power(P.spec.k, e):
+                        raise SearchIncomplete(
+                            f"witness at level {e} has value {val}; enumeration bug", e + slack
+                        )
+                    witnesses.append(vec)
+        return tuple(witnesses)
 
     def to_json(self):
         return {
@@ -112,55 +128,33 @@ class SuccessiveMinima:
         }
 
 
+def _slack(P: Parallelepiped) -> int:
+    """x = xB adj(B) / det(B): a vector of value k^e has degree <= e + slack."""
+    adj_lead = max(x.lead_exp for row in P.det_adj[1].entries for x in row if x.coeffs)
+    return adj_lead - measure_exponent_dual(P)
+
+
 def successive_minima(P: Parallelepiped, degree_bound: int | None = None) -> SuccessiveMinima:
-    """Exact successive minima with attaining lattice witnesses.
-
-    For each value level k^e the solution set within its degree box is an
-    F_q-nullspace; scanning levels upward and keeping vectors independent
-    over F_q(X) yields the minima.  The product law against the measure is
-    asserted at the end, certifying completeness.
-    """
-    spec, d = P.spec, P.dim
-    det_exp = measure_exponent_dual(P)
-    adj_lead = max(x.lead_exp for row in P.det_adj[1].entries for x in row if not x.is_zero)
-    slack = adj_lead - det_exp
-
-    witnesses = []
-    values = []
-    echelon = PolyEchelon()
-    e = -slack
-    e_cap = det_exp + max(0, (d - 1) * slack) + 1
-    while len(witnesses) < d:
-        if e > e_cap:
-            raise SearchIncomplete(
-                "minima search overran its certified level range", e + slack
-            )
-        box = e + slack
-        if box < 0:
-            e += 1
-            continue
-        if degree_bound is not None and box > degree_bound:
-            raise SearchIncomplete(
-                f"level k^{e} needs vectors of degree up to {box}", box
-            )
-        for vec in level_space(P.scaled_matrix, e, box):
-            if len(witnesses) == d:
-                break
-            if echelon.add(vec):
-                val = distance_value(P, vec)
-                if val != Magnitude.power(spec.k, e):
-                    raise SearchIncomplete(
-                        f"witness at level {e} has value {val}; enumeration bug", box
-                    )
-                witnesses.append(vec)
-                values.append(val)
-        e += 1
-
-    if sum(int(v.exponent()) for v in values) != det_exp:
+    """Exact successive minima: the row degrees of a weak Popov basis of the
+    lattice {xB}, B the scaled matrix, each checked on its x and certified by
+    the product law.  A degree bound raises where a walk up from level -slack
+    would: at the first box above it."""
+    k, slack = P.spec.k, _slack(P)
+    exps = []
+    for row, x in zip(*weak_popov(P.scaled_matrix.entries)):
+        exps.append(max(y.lead_exp for y in row if y.coeffs))
+        if (val := distance_value(P, x)) != Magnitude.power(k, exps[-1]):
+            raise SearchIncomplete(f"basis vector has value {val}", exps[-1] + slack)
+    exps.sort()
+    if sum(exps) != measure_exponent_dual(P):
         raise SearchIncomplete(
-            "product law failed to certify the found minima", e + slack
+            "product law failed to certify the found minima", exps[-1] + 1 + slack
         )
-    return SuccessiveMinima(tuple(values), tuple(witnesses), parallelepiped_measure(P))
+    if degree_bound is not None and exps[-1] + slack > degree_bound:
+        box = max(0, degree_bound + 1)
+        raise SearchIncomplete(f"level k^{box - slack} needs vectors of degree up to {box}", box)
+    values = tuple(Magnitude.power(k, e) for e in exps)
+    return SuccessiveMinima(values, parallelepiped_measure(P), P)
 
 
 def polar(P: Parallelepiped) -> Parallelepiped:
@@ -169,10 +163,24 @@ def polar(P: Parallelepiped) -> Parallelepiped:
 
     After folding bounds, F(x) = ||x B||, and the sup over x of
     ||x . y|| / ||x B|| is ||B^-1 y||_inf, so the polar body has matrix
-    adj(B)^T and every bound equal to ||det B||.
+    adj(B)^T and every bound equal to ||det B|| = k^e.  Its scaled matrix
+    X^-e adj(B)^T has det X^-de det(B)^(d-1) and adjugate
+    X^-(d-1)e det(B)^(d-2) B^T ([1] for d = 1): its cache is filled from
+    these, with no second elimination.
     """
-    det_b, adj = P.det_adj
-    return Parallelepiped(adj.transpose(), (det_b.norm(),) * P.dim)
+    d, (det_b, adj) = P.dim, P.det_adj
+    e, powers = det_b.lead_exp, [LaurentSeries.one(P.spec)]
+    while len(powers) < d:
+        powers.append(powers[-1] * det_b)
+    adj_q = SeriesMatrix.identity(P.spec, 1)
+    if d > 1:
+        c = powers[d - 2].shift(-(d - 1) * e)
+        adj_q = P.scaled_matrix.transpose().map(lambda x: c * x)
+    Q = object.__new__(Parallelepiped)
+    Q.__dict__.update(matrix=adj.transpose(), bounds=(det_b.norm(),) * d)
+    Q.__dict__["det_adj"] = (powers[d - 1].shift(-d * e), adj_q)
+    Q.__post_init__()
+    return Q
 
 
 def structured_pair(C: SeriesMatrix, m: int, n: int, level: int, R_exp: int):

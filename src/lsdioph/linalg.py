@@ -1,7 +1,8 @@
 """Small exact linear algebra: determinants and adjugates of scalar
-matrices, rank of polynomial vectors over the rational function field, one
-incremental elimination over F_q, and the level spaces built on it: the
-F_q-subspaces of bounded-degree q whose products qA are small.
+matrices, rank of polynomial vectors over the rational function field, weak
+Popov reduction of lattices over F_q[X], one incremental elimination over
+F_q, and the level spaces built on it: the F_q-subspaces of bounded-degree q
+whose products qA are small.
 
 Dimensions in this package are tiny (d <= 6 or so).  Determinants and
 adjugates of exact matrices come from one fraction-free elimination;
@@ -59,15 +60,6 @@ def _cross(piv, x, c, y, prev):
     return q
 
 
-def adjugate(matrix: SeriesMatrix) -> SeriesMatrix:
-    """Adjugate, M * adj(M) = det(M) * I, of an invertible matrix of exact
-    finite-support entries; a singular matrix raises ``ValueError``."""
-    adj = det(matrix)[1]
-    if adj is None:
-        raise ValueError("adjugate of a singular matrix")
-    return adj
-
-
 def det_entries(rows, spec):
     """Determinant of a square list-of-lists of scalars by cofactor
     expansion: its callers pass <= 3x3 minors of truncated entries, where
@@ -109,6 +101,49 @@ def poly_rank(vectors) -> int:
     """Rank over F_q(X) of a family of polynomial vectors."""
     echelon = PolyEchelon()
     return sum(echelon.add(v) for v in vectors)
+
+
+def weak_popov(rows):
+    """Weak Popov form (Mulders and Storjohann, J. Symbolic Comput. 35, 2003)
+    of the F_q[X]-lattice spanned by independent rows of exact series, and
+    per reduced row the polynomial vector x giving it as x . rows; its row
+    degrees are the minima of the sup norm.  While two rows lead at one
+    column (the rightmost attaining a row's degree), the row r_i of higher or
+    equal degree loses q * r_j, q the quotient of their entries there down to
+    where another column of r_i may lead: the simple transformations
+    c * X^t * r_j that would follow, at once.  Each lowers r_i's head."""
+    spec, d = rows[0][0].spec, len(rows)
+    unit = [[LaurentSeries(spec, {0: 1} if i == j else {}) for j in range(d)] for i in range(d)]
+    rows = [list(r) + u for r, u in zip(rows, unit)]  # x rides along after column d
+    while True:
+        heads = [_head(r[:d]) for r in rows]
+        clash = [(heads[i], i, j) for i in range(d) for j in range(d) if i != j]
+        clash = [c for c in clash if c[0][1] == heads[c[2]][1]]
+        if not clash:
+            return [r[:d] for r in rows], [r[d:] for r in rows]
+        _, i, j = max(clash)
+        (deg, p), b = heads[i], heads[j][0]
+        tops = [x.lead_exp for c, x in enumerate(rows[i][:d]) if c != p and x.coeffs]
+        tops += [deg - b + y.lead_exp for c, y in enumerate(rows[j][:d]) if c != p and y.coeffs]
+        low = max(0, max(tops, default=b) - b)
+        q = rows[i][p].divide(rows[j][p], deg - b - low + 1).coeffs
+        rows[i] = [_submul(x, q, y) for x, y in zip(rows[i], rows[j])]
+        if _head(rows[i][:d]) >= (deg, p):
+            raise ArithmeticError("weak Popov step did not lower its row")
+
+
+def _submul(x, q: dict, y):
+    """x - q * y for exact series x and y and the coefficients q of another."""
+    f, out = x.spec, dict(x.coeffs)
+    for s, c in q.items():
+        for e, a in y.coeffs.items():
+            out[s + e] = f.sub(out.get(s + e, 0), f.mul(c, a))
+    return LaurentSeries(f, out)
+
+
+def _head(row):
+    """(degree, leading column) of a nonzero row."""
+    return max((x.lead_exp, j) for j, x in enumerate(row) if x.coeffs)
 
 
 class FqEchelon:

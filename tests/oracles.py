@@ -7,9 +7,12 @@ renamed ``OracleMagnitude`` and otherwise verbatim; the ball containment
 test and White's safe test that read whole differences and products; and
 the danger-set enumeration and White's digit scan that level spaces
 replaced, renamed with an ``oracle_`` prefix and otherwise verbatim.
-Last, the cofactor determinant and adjugate and the column-by-column
+Then the cofactor determinant and adjugate and the column-by-column
 ``poly_rank`` that one fraction-free elimination replaced, renamed the same
-way (the adjugate's local import of ``scalar_one`` moved to the top)."""
+way (the adjugate's local import of ``scalar_one`` moved to the top).
+Last, the level walk over every value level that weak Popov reduction
+replaced in ``successive_minima``, renamed the same way; it returns the
+pair (values, witnesses) instead of a ``SuccessiveMinima``."""
 
 import itertools
 from fractions import Fraction
@@ -28,10 +31,13 @@ from lsdioph.errors import (
     DivisionByZero,
     PrecisionExhausted,
     SearchBudgetExceeded,
+    SearchIncomplete,
     WitnessNotFound,
 )
 from lsdioph.field import FieldSpec, Magnitude
 from lsdioph.game import FormalBall, canonicalize
+from lsdioph.geom import Parallelepiped, distance_value, measure_exponent_dual
+from lsdioph.linalg import PolyEchelon, level_space
 from lsdioph.series import RationalFn, SeriesMatrix, scalar_one, vec_dot, vec_height
 from lsdioph.strategy import (
     DANGER_BUDGET,
@@ -513,3 +519,54 @@ def oracle_poly_rank(vectors, spec: FieldSpec) -> int:
         rows = nxt
         col += 1
     return rank
+
+
+def oracle_successive_minima(P: Parallelepiped, degree_bound: int | None = None):
+    """Exact successive minima with attaining lattice witnesses.
+
+    For each value level k^e the solution set within its degree box is an
+    F_q-nullspace; scanning levels upward and keeping vectors independent
+    over F_q(X) yields the minima.  The product law against the measure is
+    asserted at the end, certifying completeness.
+    """
+    spec, d = P.spec, P.dim
+    det_exp = measure_exponent_dual(P)
+    adj_lead = max(x.lead_exp for row in P.det_adj[1].entries for x in row if not x.is_zero)
+    slack = adj_lead - det_exp
+
+    witnesses = []
+    values = []
+    echelon = PolyEchelon()
+    e = -slack
+    e_cap = det_exp + max(0, (d - 1) * slack) + 1
+    while len(witnesses) < d:
+        if e > e_cap:
+            raise SearchIncomplete(
+                "minima search overran its certified level range", e + slack
+            )
+        box = e + slack
+        if box < 0:
+            e += 1
+            continue
+        if degree_bound is not None and box > degree_bound:
+            raise SearchIncomplete(
+                f"level k^{e} needs vectors of degree up to {box}", box
+            )
+        for vec in level_space(P.scaled_matrix, e, box):
+            if len(witnesses) == d:
+                break
+            if echelon.add(vec):
+                val = distance_value(P, vec)
+                if val != Magnitude.power(spec.k, e):
+                    raise SearchIncomplete(
+                        f"witness at level {e} has value {val}; enumeration bug", box
+                    )
+                witnesses.append(vec)
+                values.append(val)
+        e += 1
+
+    if sum(int(v.exponent()) for v in values) != det_exp:
+        raise SearchIncomplete(
+            "product law failed to certify the found minima", e + slack
+        )
+    return tuple(values), tuple(witnesses)

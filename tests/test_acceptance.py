@@ -11,17 +11,17 @@ import random
 import time
 from fractions import Fraction
 
+from concentric import ConcentricStrategy
 from random_polys import random_invertible_poly_matrix
 
 from lsdioph.approx import (
     LinearFormSystem,
     badness_constant,
-    cf_expand_rational,
+    cf_expand,
     dirichlet_witness,
 )
 from lsdioph.field import FieldSpec, Magnitude, Poly, floor_log
 from lsdioph.game import (
-    ConcentricStrategy,
     FormalBall,
     GameParams,
     RandomBlack,
@@ -143,7 +143,7 @@ def test_ac4_cf_badness_equivalence():
                     continue
                 if p.gcd(q).degree != 0:
                     continue
-                cf = cf_expand_rational(p, q)
+                cf = cf_expand(RationalFn(p, q), 8)
                 assert cf.exact
                 max_deg = cf.max_partial_degree
                 # cap strictly below the annihilating denominator height

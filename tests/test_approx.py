@@ -10,7 +10,6 @@ from lsdioph.approx import (
     build_hat,
     cf_convergents,
     cf_expand,
-    cf_expand_rational,
     default_dirichlet_constant,
     dirichlet_witness,
     is_bad_cf,
@@ -201,7 +200,7 @@ def test_cf_convergents_coprime():
     for _ in range(50):
         num = Poly(F2, [rng.randrange(2) for _ in range(6)])
         den = Poly(F2, [rng.randrange(2) for _ in range(5)] + [1])
-        cf = cf_expand_rational(num, den)
+        cf = cf_expand(RationalFn(num, den), 8)
         for p, q in cf_convergents(cf):
             g = p.gcd(q)
             assert g.is_zero or g.degree == 0

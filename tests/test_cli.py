@@ -98,9 +98,10 @@ def test_certify_counterexample_exit_code(tmp_path, capsys):
     # annihilates immediately
     from fractions import Fraction
 
+    from concentric import ConcentricStrategy
+
     from lsdioph.field import FieldSpec
     from lsdioph.game import (
-        ConcentricStrategy,
         GameParams,
         StopRule,
         play,
@@ -529,10 +530,10 @@ def fuzz_argvs(draw, transcript, command=None):
     huge, empty).  Caps stay at 4 or below, save a huge one for game run,
     whose work follows the rounds; series precisions stay small or beyond the
     10^6 bound: up to it, a quotient that does not terminate takes one
-    division step per unit.  polar and measure also draw singular matrices
-    and exponents up to +-200000, which sucmin and duality do not: their
-    level walk grows with the spread of the exponents.  A given command fixes
-    the sub-command instead of drawing it."""
+    division step per unit.  polar, measure and duality also draw singular
+    matrices and exponents up to +-200000, which sucmin does not: its witness
+    walk grows with the spread of the exponents.  A given command fixes the
+    sub-command instead of drawing it."""
     spec = draw(st.sampled_from([FieldSpec(2), FieldSpec(3), FieldSpec(2, 2)]))
     field = str(spec.p) if spec.r == 1 else f"{spec.p}^{spec.r}"
 
@@ -556,7 +557,7 @@ def fuzz_argvs(draw, transcript, command=None):
         m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
         if command in bodies:
             m = n = m + n  # a square matrix
-        wide = command in ("polar", "measure")  # no level walk: any exponent spread
+        wide = command in ("polar", "measure", "duality")  # no level walk: any spread
         exponents = st.integers(-6, 0)
         if wide:
             exponents = st.one_of(exponents, st.sampled_from([200000, -200000, 170, -170]))

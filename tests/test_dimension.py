@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from concentric import ConcentricStrategy
 
 import lsdioph.dimension as dim
 from lsdioph.approx import iter_height_class
 from lsdioph.errors import BranchOutOfRange, SearchBudgetExceeded
 from lsdioph.field import FieldSpec, Magnitude
 from lsdioph.game import (
-    ConcentricStrategy,
     GameParams,
     StopRule,
     play,

@@ -1,6 +1,6 @@
 """Differential tests of the fraction-free elimination in ``linalg``: ``det``
-and ``adjugate`` against the cofactor expansion they replaced, and
-``PolyEchelon``/``poly_rank`` against the column-by-column rank
+and the adjugate it returns against the cofactor expansion they replaced,
+and ``PolyEchelon``/``poly_rank`` against the column-by-column rank
 (``oracles.py``)."""
 
 import pytest
@@ -10,11 +10,20 @@ from oracles import oracle_adjugate, oracle_det, oracle_poly_rank
 
 from lsdioph import linalg
 from lsdioph.field import FieldSpec, Poly
-from lsdioph.linalg import PolyEchelon, adjugate, det, poly_rank
+from lsdioph.linalg import PolyEchelon, det, poly_rank
 from lsdioph.series import LaurentSeries, RationalFn, SeriesMatrix, parse_matrix
 
 FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(3, 2)]
 SETTINGS = settings(max_examples=120, suppress_health_check=[HealthCheck.too_slow])
+
+
+def adjugate(matrix: SeriesMatrix) -> SeriesMatrix:
+    """Adjugate, M * adj(M) = det(M) * I, of an invertible matrix of exact
+    finite-support entries; a singular matrix raises ``ValueError``."""
+    adj = det(matrix)[1]
+    if adj is None:
+        raise ValueError("adjugate of a singular matrix")
+    return adj
 
 
 def laurent(spec, lo=-3, hi=3, max_terms=2):

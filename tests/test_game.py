@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from concentric import ConcentricStrategy
 from hypothesis import given
 from hypothesis import strategies as st
 from oracles import oracle_formal_contains
@@ -9,7 +10,6 @@ from oracles import oracle_formal_contains
 from lsdioph.errors import InsufficientDepth
 from lsdioph.field import FieldSpec
 from lsdioph.game import (
-    ConcentricStrategy,
     FormalBall,
     GameParams,
     GameTranscript,

@@ -19,7 +19,7 @@ from lsdioph.geom import (
     structured_pair,
     successive_minima,
 )
-from lsdioph.linalg import adjugate, det
+from lsdioph.linalg import det
 from lsdioph.series import LaurentSeries, SeriesMatrix, parse_matrix, vec_dot
 
 F2 = FieldSpec(2)
@@ -320,9 +320,8 @@ def test_adjugate_identity():
     rng = random.Random(43)
     for d in (2, 3):
         M = random_invertible_poly_matrix(rng, F2, d, 1)
-        adj = adjugate(M)
+        dd, adj = det(M)
         product = [[vec_dot(M.row(i), adj.col(j)) for j in range(d)] for i in range(d)]
-        dd = det(M)[0]
         for i in range(d):
             for j in range(d):
                 expected = dd if i == j else LaurentSeries.zero(F2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import oracles
+from concentric import ConcentricStrategy
 from oracles import oracle_danger_set, oracle_has_frac_digit, oracle_pinned_safe
 
 from lsdioph import strategy
@@ -14,7 +15,6 @@ from lsdioph.approx import LinearFormSystem, iter_height_class
 from lsdioph.errors import CounterexampleFound, NoLegalCenter, SearchBudgetExceeded
 from lsdioph.field import FieldSpec, Magnitude, Poly, floor_log
 from lsdioph.game import (
-    ConcentricStrategy,
     FormalBall,
     GameParams,
     GameTranscript,
