@@ -501,13 +501,38 @@ def _cmd_sucmin(args):
 
 def _cmd_measure(args):
     P = _parallelepiped(args, parse_field(args.field))
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # the exact measure may exceed the digit limit
-    try:
-        text = str(parallelepiped_measure(P))
-    finally:
-        sys.set_int_max_str_digits(limit)
+    measure = parallelepiped_measure(P)
+    text = _int_text(measure.numerator)
+    if measure.denominator != 1:
+        text += "/" + _int_text(measure.denominator)
     return {"measure": text, "measure_exp": -measure_exponent_dual(P)}
+
+
+def _int_text(n: int) -> str:
+    """``str(n)`` for n >= 0, past the interpreter's digit limit and in
+    subquadratic time: n is split in halves of bits down to 512-bit pieces,
+    and the pieces are joined again in ``decimal``, whose multiplication of
+    large operands is subquadratic (CPython 3.11's int-to-str is not)."""
+    from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
+
+    powers = {}
+
+    def two_to(w):
+        if w not in powers:
+            powers[w] = Decimal(2) ** w if w <= 512 else two_to(w >> 1) * two_to(w - (w >> 1))
+        return powers[w]
+
+    def convert(n, w):
+        if w <= 512:
+            return Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return convert(n - (hi << half), half) + convert(hi, w - half) * two_to(half)
+
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        ctx.traps[Inexact] = True  # every step is exact
+        return str(convert(n, n.bit_length()))
 
 
 def _cmd_polar(args):

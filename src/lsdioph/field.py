@@ -187,7 +187,7 @@ class FieldSpec:
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FieldSpec)
             and self.p == other.p
             and self.r == other.r
@@ -344,7 +344,12 @@ def floor_log(value, k: int) -> int:
     """Largest integer e with k^e <= value, for an exact positive rational."""
     if not isinstance(value, (int, Fraction)):
         value = Fraction(value)
-    a, b = value.numerator, value.denominator
+    return floor_log_ratio(value.numerator, value.denominator, k)
+
+
+def floor_log_ratio(a: int, b: int, k: int) -> int:
+    """Largest integer e with k^e <= a/b, for integers a and b > 0 that
+    need not be coprime."""
     if a <= 0:
         raise ValueError("floor_log of a nonpositive value")
     # a/b lies within a factor 2 of 2^bits: the estimate is off by at most 1

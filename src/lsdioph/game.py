@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InsufficientDepth
-from .field import FieldSpec, Magnitude, floor_log
+from .field import FieldSpec, Magnitude, floor_log, floor_log_ratio
 from .series import (
     LaurentSeries,
     SeriesMatrix,
@@ -51,8 +51,13 @@ class FormalBall:
         return self.center.spec
 
     def effective_exponent(self) -> int:
-        """Exponent of the largest k-power <= radius (the real resolution)."""
-        return floor_log(self.radius, self.spec.k)
+        """Exponent of the largest k-power <= radius (the real resolution),
+        computed once per ball."""
+        e = self.__dict__.get("_exponent")
+        if e is None:
+            # the instance dict, because the dataclass is frozen
+            e = self.__dict__["_exponent"] = floor_log(self.radius, self.spec.k)
+        return e
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,9 @@ def formal_contains(inner: FormalBall, outer: FormalBall) -> bool:
         (x for row in inner.center.entries for x in row),
         (y for row in outer.center.entries for y in row),
     )
-    gap = max((e for x, y in pairs for e, _c in x.coeffs.items() ^ y.coeffs.items()), default=None)
+    # (e, c) pairs in one centre only; the largest pair has the largest e
+    diffs = [x.coeffs.items() ^ y.coeffs.items() for x, y in pairs if x is not y]
+    gap = max((max(diff)[0] for diff in diffs if diff), default=None)
     # rho_out - rho_in = slack / scale, compared with k^gap in integers;
     # Fraction arithmetic here measurably slows game-certify (CHANGES.md)
     a, b = inner.radius.numerator, inner.radius.denominator
@@ -114,9 +121,12 @@ def canonicalize(ball: FormalBall) -> FormalBall:
 
 
 def validate_move(prev: FormalBall, proposal: FormalBall, ratio: Fraction) -> bool:
-    if not 0 < ratio < 1:
+    # the radius law rho_new = ratio * rho_prev, cross-multiplied in integers
+    a, b = ratio.numerator, ratio.denominator
+    if not 0 < a < b:
         raise ValueError("ratio must lie in (0, 1)")
-    if proposal.radius != ratio * prev.radius:
+    new, old = proposal.radius, prev.radius
+    if new.numerator * b * old.denominator != a * old.numerator * new.denominator:
         return False
     return formal_contains(proposal, prev)
 
@@ -166,16 +176,16 @@ class GameTranscript:
                 sort_keys=True,
             )
         ]
+        # a move that keeps its centre shares the centre object, so each
+        # centre and each distinct term is formatted once
+        terms, center, text = {}, None, None
         for i, b in enumerate(self.balls):
+            if b.center is not center:
+                center = b.center
+                text = [[format_series(x, terms) for x in row] for row in center.entries]
             lines.append(
                 json.dumps(
-                    {
-                        "player": self.player_at(i),
-                        "center": [
-                            [format_series(x) for x in row] for row in b.center.entries
-                        ],
-                        "radius": str(b.radius),
-                    },
+                    {"player": self.player_at(i), "center": text, "radius": str(b.radius)},
                     sort_keys=True,
                 )
             )
@@ -194,7 +204,9 @@ class GameTranscript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "GameTranscript":
-        """Replay a transcript, checking that every move it reads is legal."""
+        """Replay a transcript, checking that every move it reads is legal.
+        Each record repeats its full centre: a centre equal to the previous
+        record's is read once, and each distinct term text is parsed once."""
         lines = [json.loads(line) for line in text.splitlines() if line.strip()]
         if not lines:
             raise ValueError("replay: empty transcript")
@@ -205,6 +217,7 @@ class GameTranscript:
             Fraction(header["alpha"]), Fraction(header["beta"]), spec
         )
         t = cls(params)
+        terms, text, center = {}, None, None
         for number, rec in enumerate(lines[1:], 2):
             where = f"record {number}"
             if isinstance(rec, dict) and rec.get("type") == "forfeit":
@@ -212,9 +225,11 @@ class GameTranscript:
                 t.forfeit = IllegalMove(rec["player"], rec["index"])
                 continue
             _require_keys(rec, ("center", "radius"), where)
-            center = SeriesMatrix(
-                spec, [[parse_series(s, spec) for s in row] for row in rec["center"]]
-            )
+            if rec["center"] != text:
+                text = rec["center"]
+                center = SeriesMatrix(
+                    spec, [[parse_series(s, spec, terms) for s in row] for row in text]
+                )
             ball = FormalBall(center, Fraction(rec["radius"]))
             if t.balls:
                 ratio = params.alpha if t.player_at(len(t.balls)) == "white" else params.beta
@@ -322,7 +337,9 @@ def limit_point(t: GameTranscript, precision: int) -> SeriesMatrix:
 def legal_center_shift_exponent(prev: FormalBall, ratio: Fraction) -> int:
     """Largest exponent g with k^g <= (1 - ratio) * radius: shifts of that
     norm keep the shrunken ball inside ``prev``."""
-    return floor_log((1 - ratio) * prev.radius, prev.spec.k)
+    a, b = ratio.numerator, ratio.denominator
+    r = prev.radius
+    return floor_log_ratio((b - a) * r.numerator, b * r.denominator, prev.spec.k)
 
 
 class RandomBlack:
@@ -350,10 +367,8 @@ class RandomBlack:
                 }
                 out.append(x + LaurentSeries(spec, delta))
             rows.append(out)
-        ball = FormalBall(SeriesMatrix(spec, rows), beta * prev.radius)
-        if not validate_move(prev, ball, beta):
-            return FormalBall(prev.center, beta * prev.radius)
-        return ball
+        # legal by construction: the shift has norm <= k^g <= (1 - beta) * radius
+        return FormalBall(SeriesMatrix(spec, rows), beta * prev.radius)
 
 
 class GreedyBlack:
@@ -367,10 +382,8 @@ class GreedyBlack:
         beta = t.params.beta
         g = legal_center_shift_exponent(prev, beta)
         center = prev.center.map(lambda x: x.truncate_below(g + 1))
-        ball = FormalBall(center, beta * prev.radius)
-        if not validate_move(prev, ball, beta):
-            return FormalBall(prev.center, beta * prev.radius)
-        return ball
+        # legal by construction, as in RandomBlack: only digits at or below g change
+        return FormalBall(center, beta * prev.radius)
 
 
 class StdinBlack:

@@ -35,11 +35,11 @@ class LaurentSeries:
     __slots__ = ("spec", "coeffs", "known_below")
 
     def __init__(self, spec: FieldSpec, coeffs, known_below=None):
-        clean = {}
-        for e, c in dict(coeffs).items():
-            if c:
-                if known_below is None or e >= known_below:
-                    clean[e] = c
+        clean = dict(coeffs)
+        if known_below is not None:
+            clean = {e: c for e, c in clean.items() if c and e >= known_below}
+        elif 0 in clean.values():  # a scan in C: most inputs hold no zero
+            clean = {e: c for e, c in clean.items() if c}
         if not clean and known_below is not None:
             raise PrecisionExhausted(
                 f"series is zero to precision {known_below}; norm undeterminable"
@@ -578,16 +578,27 @@ def vec_dot(q, column):
 # Terms may appear in any order; duplicate exponents are summed in F_q.
 
 
-def parse_series(text: str, spec: FieldSpec) -> LaurentSeries:
-    f = spec
+def parse_series(text: str, spec: FieldSpec, terms: dict | None = None) -> LaurentSeries:
+    """Parse the grammar above.  ``terms``, a dict kept by the caller for one
+    field, maps each term text already read to its (coefficient, exponent),
+    so that a text seen before is not parsed again."""
     coeffs: dict = {}
     for chunk, offset in _split_top(text, "+"):
-        c, e = _parse_term(chunk, offset, spec)
-        s = f.add(coeffs.get(e, 0), c)
-        if s:
-            coeffs[e] = s
+        if terms is None:
+            c, e = _parse_term(chunk, offset, spec)
         else:
-            coeffs.pop(e, None)
+            key = chunk.strip()
+            term = terms.get(key)
+            if term is None:
+                term = terms[key] = _parse_term(chunk, offset, spec)
+            c, e = term
+        if e in coeffs:
+            c = spec.add(coeffs[e], c)
+            if not c:
+                del coeffs[e]
+                continue
+        if c:
+            coeffs[e] = c
     return LaurentSeries(spec, coeffs)
 
 
@@ -604,7 +615,15 @@ def parse_poly(text: str, spec: FieldSpec) -> Poly:
 
 
 def _split_top(text: str, sep: str):
-    """Split at ``sep`` outside parentheses, as (chunk, offset) pairs."""
+    """Split at ``sep`` outside parentheses, as (chunk, offset) pairs.  Only
+    text with a parenthesis needs the character walk, which skips separators
+    inside them and places an unbalanced one."""
+    if "(" not in text and ")" not in text:
+        out, start = [], 0
+        for chunk in text.split(sep):
+            out.append((chunk, start))
+            start += len(chunk) + 1
+        return out
     terms = []
     depth = 0
     start = 0
@@ -714,23 +733,31 @@ def _parse_coeff_tuple(tok: str, pos: int, spec: FieldSpec) -> int:
     return spec.from_digits(reversed(digits))
 
 
-def format_series(x: LaurentSeries) -> str:
+def format_series(x: LaurentSeries, terms: dict | None = None) -> str:
+    """Highest exponent first.  ``terms``, a dict kept by the caller for one
+    field, maps each (exponent, coefficient) already formatted to its text."""
     if x.is_zero:
         return "0"
-    f = x.spec
-    terms = []
-    for e in sorted(x.coeffs, reverse=True):
-        c = x.coeffs[e]
-        cs = f.format_element(c)
-        if e == 0:
-            terms.append(cs)
-            continue
-        xs = "X" if e == 1 else f"X^{e}"
-        if f.r == 1 and c == 1:
-            terms.append(xs)
-        else:
-            terms.append(f"{cs}*{xs}")
-    return " + ".join(terms)
+    f, coeffs = x.spec, x.coeffs
+    if terms is None:
+        return " + ".join(_format_term(f, e, coeffs[e]) for e in sorted(coeffs, reverse=True))
+    out = []
+    for e in sorted(coeffs, reverse=True):
+        key = (e, coeffs[e])
+        text = terms.get(key)
+        if text is None:
+            text = terms[key] = _format_term(f, *key)
+        out.append(text)
+    return " + ".join(out)
+
+
+def _format_term(f: FieldSpec, e: int, c: int) -> str:
+    if e == 0:
+        return f.format_element(c)
+    xs = "X" if e == 1 else f"X^{e}"
+    if f.r == 1 and c == 1:
+        return xs
+    return f"{f.format_element(c)}*{xs}"
 
 
 def parse_field(text: str) -> FieldSpec:

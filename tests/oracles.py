@@ -12,7 +12,10 @@ Then the cofactor determinant and adjugate and the column-by-column
 way (the adjugate's local import of ``scalar_one`` moved to the top).
 Last, the level walk over every value level that weak Popov reduction
 replaced in ``successive_minima``, renamed the same way; it returns the
-pair (values, witnesses) instead of a ``SuccessiveMinima``."""
+pair (values, witnesses) instead of a ``SuccessiveMinima``.  And the text
+grammar's splitter, term parser and formatter from before replay parsed each
+distinct term once, renamed the same way; ``oracle_parse_series`` is the
+old ``parse_series`` built on them."""
 
 import itertools
 from fractions import Fraction
@@ -38,7 +41,18 @@ from lsdioph.field import FieldSpec, Magnitude
 from lsdioph.game import FormalBall, canonicalize
 from lsdioph.geom import Parallelepiped, distance_value, measure_exponent_dual
 from lsdioph.linalg import PolyEchelon, level_space
-from lsdioph.series import RationalFn, SeriesMatrix, scalar_one, vec_dot, vec_height
+from lsdioph.errors import SeriesSyntaxError
+from lsdioph.series import (
+    MAX_EXPONENT,
+    LaurentSeries,
+    RationalFn,
+    SeriesMatrix,
+    _parse_coeff_int,
+    _parse_coeff_tuple,
+    scalar_one,
+    vec_dot,
+    vec_height,
+)
 from lsdioph.strategy import (
     DANGER_BUDGET,
     BadnessCertificate,
@@ -570,3 +584,107 @@ def oracle_successive_minima(P: Parallelepiped, degree_bound: int | None = None)
             "product law failed to certify the found minima", e + slack
         )
     return tuple(values), tuple(witnesses)
+
+
+def oracle_parse_series(text: str, spec: FieldSpec) -> LaurentSeries:
+    f = spec
+    coeffs: dict = {}
+    for chunk, offset in oracle_split_top(text, "+"):
+        c, e = oracle_parse_term(chunk, offset, spec)
+        s = f.add(coeffs.get(e, 0), c)
+        if s:
+            coeffs[e] = s
+        else:
+            coeffs.pop(e, None)
+    return LaurentSeries(spec, coeffs)
+
+
+def oracle_split_top(text: str, sep: str):
+    """Split at ``sep`` outside parentheses, as (chunk, offset) pairs."""
+    terms = []
+    depth = 0
+    start = 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise SeriesSyntaxError("unbalanced parenthesis", i)
+        elif ch == sep and depth == 0:
+            terms.append((text[start:i], start))
+            start = i + 1
+    if depth:
+        raise SeriesSyntaxError("unbalanced parenthesis", len(text))
+    terms.append((text[start:], start))
+    return terms
+
+
+def oracle_parse_term(chunk: str, offset: int, spec: FieldSpec):
+    raw = chunk.strip()
+    if not raw:
+        raise SeriesSyntaxError("empty term", offset)
+    pos = offset + chunk.index(raw[0])
+
+    coeff = None
+    rest = raw
+    if raw[0] == "(":
+        close = raw.find(")")
+        if close < 0:
+            raise SeriesSyntaxError("unterminated coefficient tuple", pos)
+        coeff = _parse_coeff_tuple(raw[: close + 1], pos, spec)
+        rest = raw[close + 1 :].lstrip()
+    elif raw[0].isdigit():
+        i = 0
+        while i < len(raw) and raw[i].isdigit():
+            i += 1
+        coeff = _parse_coeff_int(raw[:i], pos, spec)
+        rest = raw[i:].lstrip()
+
+    if coeff is not None and rest.startswith("*"):
+        rest = rest[1:].lstrip()
+        if not rest:
+            raise SeriesSyntaxError("dangling '*'", pos + len(raw) - 1)
+
+    if not rest:
+        if coeff is None:
+            raise SeriesSyntaxError("empty term", pos)
+        return coeff, 0
+
+    if rest[0] != "X":
+        raise SeriesSyntaxError(f"expected 'X', found {rest[0]!r}", pos + raw.find(rest))
+    rest = rest[1:].lstrip()
+    exp = 1
+    if rest:
+        if rest[0] != "^":
+            raise SeriesSyntaxError("expected '^' after X", pos + raw.rfind(rest[0]))
+        try:
+            exp = int(rest[1:].strip())
+        except ValueError:
+            raise SeriesSyntaxError("bad exponent", pos + len(raw) - len(rest)) from None
+        if abs(exp) > MAX_EXPONENT:
+            raise SeriesSyntaxError(
+                f"exponent {exp} beyond +-{MAX_EXPONENT}", pos + len(raw) - len(rest)
+            )
+    if coeff is None:
+        coeff = 1
+    return coeff, exp
+
+
+def oracle_format_series(x: LaurentSeries) -> str:
+    if x.is_zero:
+        return "0"
+    f = x.spec
+    terms = []
+    for e in sorted(x.coeffs, reverse=True):
+        c = x.coeffs[e]
+        cs = f.format_element(c)
+        if e == 0:
+            terms.append(cs)
+            continue
+        xs = "X" if e == 1 else f"X^{e}"
+        if f.r == 1 and c == 1:
+            terms.append(xs)
+        else:
+            terms.append(f"{cs}*{xs}")
+    return " + ".join(terms)

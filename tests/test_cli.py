@@ -643,3 +643,44 @@ def test_fuzzer_reaches_each_command(tmp_path, capsys, command):
 
     search = settings(max_examples=1000, phases=[Phase.generate], database=None)
     find(fuzz_argvs(transcript, command), runs, settings=search)
+
+
+def test_int_text_matches_str():
+    import random
+    import sys
+
+    from lsdioph.cli import _int_text
+
+    rng = random.Random(22)
+    values = [0, 1, 9, 10, 2**512 - 1, 2**512, 2**513 + 1, 10**4300, 10**4300 - 1, 3**70000]
+    values += [rng.getrandbits(rng.randint(1, 333_000)) for _ in range(12)]  # to ~10^5 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for n in values:
+            assert _int_text(n) == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_measure_prints_a_million_digits_quickly(capsys):
+    """2^-3000000 has 903,090 digits in its denominator; the quadratic
+    int-to-str took 12.9 s for them."""
+    from decimal import Decimal, localcontext
+
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "measure", "--field", "2", "--matrix",
+        "X^1000000, 0, 0; 0, X^1000000, 0; 0, 0, X^1000000", "--no-timestamp",
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["measure_exp"] == -3_000_000
+    head, digits = result["measure"].split("/")
+    assert head == "1" and len(digits) == 903_090
+    assert int(digits[-30:]) == pow(2, 3_000_000, 10**30)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        assert digits[:30] == str(Decimal(2) ** 3_000_000).replace(".", "")[:30]
+    assert elapsed < 3.0
