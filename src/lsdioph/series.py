@@ -582,16 +582,15 @@ def parse_series(text: str, spec: FieldSpec, terms: dict | None = None) -> Laure
     """Parse the grammar above.  ``terms``, a dict kept by the caller for one
     field, maps each term text already read to its (coefficient, exponent),
     so that a text seen before is not parsed again."""
+    if terms is None:
+        terms = {}
     coeffs: dict = {}
     for chunk, offset in _split_top(text, "+"):
-        if terms is None:
-            c, e = _parse_term(chunk, offset, spec)
-        else:
-            key = chunk.strip()
-            term = terms.get(key)
-            if term is None:
-                term = terms[key] = _parse_term(chunk, offset, spec)
-            c, e = term
+        key = chunk.strip()
+        term = terms.get(key)
+        if term is None:
+            term = terms[key] = _parse_term(chunk, offset, spec)
+        c, e = term
         if e in coeffs:
             c = spec.add(coeffs[e], c)
             if not c:
@@ -738,9 +737,9 @@ def format_series(x: LaurentSeries, terms: dict | None = None) -> str:
     field, maps each (exponent, coefficient) already formatted to its text."""
     if x.is_zero:
         return "0"
-    f, coeffs = x.spec, x.coeffs
     if terms is None:
-        return " + ".join(_format_term(f, e, coeffs[e]) for e in sorted(coeffs, reverse=True))
+        terms = {}
+    f, coeffs = x.spec, x.coeffs
     out = []
     for e in sorted(coeffs, reverse=True):
         key = (e, coeffs[e])

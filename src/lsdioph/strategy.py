@@ -532,15 +532,16 @@ class AvoidanceWhite:
         # (kind, h) -> (echelon of the danger rows, lowest exponent they
         # reach), or None once no vector of height k^h is left
         self._spaces = {}
-        self._black = (None, 0, None)  # see _black_radius
+        self._black = (None, 0, None)  # see black_radius
         self.dodges = 0
 
-    def _black_radius(self, t: GameTranscript):
+    def black_radius(self, t: GameTranscript):
         """``min(b.radius for b in t.black_balls())``, as a running minimum
-        over the Black balls appended since the last call; a list of balls
-        other than the last one seen, or a shorter one, is scanned afresh."""
+        over the Black balls appended since the last call (a transcript only
+        grows); a list of balls other than the last one seen is scanned
+        afresh."""
         balls, i, low = self._black
-        if balls is not t.balls or i > len(balls) + 1:
+        if balls is not t.balls:
             balls, i, low = t.balls, 0, None
         while i < len(balls):
             if low is None or balls[i].radius < low:
@@ -563,7 +564,7 @@ class AvoidanceWhite:
         cfg = self.cfg
         prev = t.last()
         e = prev.effective_exponent()
-        radius = self._black_radius(t)
+        radius = self.black_radius(t)
         out = []
         for kind in ("k", "h"):
             stop = cfg.marker_level(kind, radius) + LOOKAHEAD + 1
@@ -728,7 +729,7 @@ class LiteralWhite:
 
     def _danger_basis(self, t, canonical):
         cfg = self.cfg
-        level = cfg.marker_level("h", self._avoid._black_radius(t))
+        level = cfg.marker_level("h", self._avoid.black_radius(t))
         report = danger_set(
             canonical,
             level,

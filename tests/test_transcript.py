@@ -127,6 +127,19 @@ def test_replay_gives_back_every_ball(spec, shape):
     assert back.to_jsonl() == text
 
 
+def test_black_radius_is_the_smallest_black_radius():
+    """The running minimum equals the scan it replaced, on a transcript grown
+    ball by ball and on a new one handed to the same White."""
+    spec = FieldSpec(2, 1)
+    white = make_white("white-avoid", StrategyConfig(spec, 1, 1, height_cap_exp=3))
+    for seed in (1, 2):
+        done = _game(spec, 1, 1, rounds=12, seed=seed)
+        t = GameTranscript(done.params)
+        for ball in done.balls:
+            t.balls.append(ball)
+            assert white.black_radius(t) == min(b.radius for b in t.black_balls())
+
+
 def test_replay_parses_each_distinct_term_once(monkeypatch):
     """Every record repeats its full centre, so a parse per term would grow
     with records times terms; replay parses each distinct term text once."""
@@ -231,12 +244,14 @@ def test_bench_layers_runs_on_tiny_inputs(tmp_path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     out = tmp_path / "bench.json"
-    argv = ["--games", "1", "--rounds", "2", "--repeats", "1", "--long-rounds", "24"]
+    argv = ["--games", "1", "--rounds", "2", "--repeats", "1", "--long-rounds", "24",
+            "--measure-exp", "1000"]
     assert module.main([*argv, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["src_lines"] > 0
     assert set(report["rows"]) >= {
         "series.parse_series", "series.format_series", "game.validate_move", "game.play",
         "game.to_jsonl", "game.from_jsonl", "cli.game_certify", "cli.certify_long",
+        "cli.measure_digits",
     }
     assert all(row["scaled_ms"] >= 0 for row in report["rows"].values())

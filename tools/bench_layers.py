@@ -1,7 +1,8 @@
 """Per-layer timings of the game path on fixed inputs, written as a BENCH file.
 
     python3 tools/bench_layers.py --out BENCH_22.json
-    python3 tools/bench_layers.py --games 1 --rounds 2 --repeats 1 --long-rounds 0 --out b.json
+    python3 tools/bench_layers.py --games 1 --rounds 2 --repeats 1 --long-rounds 0 \
+        --measure-exp 0 --out b.json
 
 Each row times one layer on inputs fixed by the arguments: the transcripts
 of ``--games`` F2 games (white-avoid, cap 5, seeds 1, 2, ...) and one 2^2
@@ -14,7 +15,10 @@ game, whose centres carry tuple coefficients, all of ``--rounds`` rounds.
 - ``cli.game_certify``: one 24-round ``game run`` plus ``certify`` through
   ``lsdioph.cli.main``, as in the benchmark's game job;
 - ``cli.game_run_long`` / ``cli.certify_long``: the same two commands at
-  ``--long-rounds`` rounds (skipped at 0).
+  ``--long-rounds`` rounds (skipped at 0);
+- ``cli.measure_digits``: ``measure`` of the diagonal 3x3 F2 matrix with
+  entries X^e, e = ``--measure-exp`` (skipped at 0), whose exact measure
+  2^-3e is printed in full: 903,090 digits at the default 10^6.
 
 A row is the median over ``--repeats`` runs of its scaled wall time.  As
 perfbench scales job latencies, each run is scaled to read as on a machine
@@ -95,7 +99,7 @@ def _game_argv(rounds: int, path: str):
     return run, certify
 
 
-def layers(games: int, rounds: int, long_rounds: int, path: str):
+def layers(games: int, rounds: int, long_rounds: int, measure_exp: int, path: str):
     """(name, calls, thunk) per row; each thunk runs the row once."""
     fixed = _games(games)
     transcripts = [_play(f, c, s, rounds) for f, c, s in fixed]
@@ -132,6 +136,12 @@ def layers(games: int, rounds: int, long_rounds: int, path: str):
         long_run, long_certify = _game_argv(long_rounds, path)  # certify needs >= 24
         rows.append(("cli.game_run_long", 1, lambda: _cli(*long_run)))
         rows.append(("cli.certify_long", 1, lambda: _cli(*long_certify)))
+    if measure_exp:
+        diagonal = "; ".join(
+            ", ".join(f"X^{measure_exp}" if i == j else "0" for j in range(3)) for i in range(3)
+        )
+        measure_argv = ("measure", "--field", "2", "--matrix", diagonal, "--no-timestamp")
+        rows.append(("cli.measure_digits", 1, lambda: _cli(*measure_argv)))
     return rows
 
 
@@ -161,18 +171,21 @@ def main(argv=None) -> int:
     ap.add_argument("--games", type=int, default=8, help="F2 games in the fixed inputs")
     ap.add_argument("--rounds", type=int, default=24)
     ap.add_argument("--long-rounds", type=int, default=384, help="0 skips the long rows")
+    ap.add_argument("--measure-exp", type=int, default=10**6, help="0 skips the measure row")
     ap.add_argument("--repeats", type=int, default=15)
     args = ap.parse_args(argv)
     bench = _perfbench()
     with tempfile.TemporaryDirectory() as tmp:
-        rows = layers(args.games, args.rounds, args.long_rounds, os.path.join(tmp, "t.jsonl"))
+        path = os.path.join(tmp, "t.jsonl")
+        rows = layers(args.games, args.rounds, args.long_rounds, args.measure_exp, path)
         results = measure(rows, args.repeats, bench)
     report = {
         "python": platform.python_version(),
         "src_lines": bench.src_lines(),
         "reference_ms_median": round(bench.reference_sample(repeats=9) * 1e3, 3),
         "inputs": {"games": args.games, "rounds": args.rounds,
-                   "long_rounds": args.long_rounds, "repeats": args.repeats},
+                   "long_rounds": args.long_rounds, "measure_exp": args.measure_exp,
+                   "repeats": args.repeats},
         "rows": results,
     }
     with open(args.out, "w") as fh:
