@@ -38,13 +38,15 @@ class FormalBall:
     radius: Fraction
 
     def __post_init__(self):
-        if self.radius <= 0:
+        r = self.radius
+        if not isinstance(r, Fraction):
+            if r <= 0:
+                raise ValueError("radius must be positive")
+            object.__setattr__(self, "radius", Fraction(r))
+        elif r.numerator <= 0:
             raise ValueError("radius must be positive")
-        if not isinstance(self.radius, Fraction):
-            object.__setattr__(self, "radius", Fraction(self.radius))
-        for x in (e for row in self.center.entries for e in row):
-            if not isinstance(x, LaurentSeries) or not x.is_exact:
-                raise ValueError("center entries must be exact finite-support series")
+        if not self.center.is_exact:
+            raise ValueError("center entries must be exact finite-support series")
 
     @property
     def spec(self) -> FieldSpec:
@@ -88,13 +90,15 @@ def formal_contains(inner: FormalBall, outer: FormalBall) -> bool:
         raise ValueError("dimension mismatch")
     if inner.spec != outer.spec:
         raise ValueError("mixed field specs")
-    pairs = zip(
-        (x for row in inner.center.entries for x in row),
-        (y for row in outer.center.entries for y in row),
-    )
-    # (e, c) pairs in one centre only; the largest pair has the largest e
-    diffs = [x.coeffs.items() ^ y.coeffs.items() for x, y in pairs if x is not y]
-    gap = max((max(diff)[0] for diff in diffs if diff), default=None)
+    gap = None
+    if inner.center is not outer.center:  # a concentric move shares its centre
+        pairs = zip(
+            (x for row in inner.center.entries for x in row),
+            (y for row in outer.center.entries for y in row),
+        )
+        # (e, c) pairs in one centre only; the largest pair has the largest e
+        diffs = [x.coeffs.items() ^ y.coeffs.items() for x, y in pairs if x is not y]
+        gap = max((max(diff)[0] for diff in diffs if diff), default=None)
     # rho_out - rho_in = slack / scale, compared with k^gap in integers;
     # Fraction arithmetic here measurably slows game-certify (CHANGES.md)
     a, b = inner.radius.numerator, inner.radius.denominator
@@ -177,18 +181,16 @@ class GameTranscript:
             )
         ]
         # a move that keeps its centre shares the centre object, so each
-        # centre and each distinct term is formatted once
-        terms, center, text = {}, None, None
+        # centre is encoded once and each distinct term formatted once; a
+        # record is then the text json.dumps(..., sort_keys=True) gives, as
+        # the player and a str(Fraction) need no escaping
+        terms, center, head = {}, None, None
         for i, b in enumerate(self.balls):
             if b.center is not center:
                 center = b.center
                 text = [[format_series(x, terms) for x in row] for row in center.entries]
-            lines.append(
-                json.dumps(
-                    {"player": self.player_at(i), "center": text, "radius": str(b.radius)},
-                    sort_keys=True,
-                )
-            )
+                head = '{"center": ' + json.dumps(text) + ', "player": "'
+            lines.append(f'{head}{self.player_at(i)}", "radius": "{b.radius}"}}')
         if self.forfeit is not None:
             lines.append(
                 json.dumps(
@@ -230,13 +232,23 @@ class GameTranscript:
                 center = SeriesMatrix(
                     spec, [[parse_series(s, spec, terms) for s in row] for row in text]
                 )
-            ball = FormalBall(center, Fraction(rec["radius"]))
+            ball = FormalBall(center, _read_radius(rec["radius"]))
             if t.balls:
                 ratio = params.alpha if t.player_at(len(t.balls)) == "white" else params.beta
                 if not validate_move(t.balls[-1], ball, ratio):
                     raise ValueError(f"replay: illegal move at index {len(t.balls)}")
             t.balls.append(ball)
         return t
+
+
+def _read_radius(text):
+    """``Fraction(text)``; the text ``to_jsonl`` writes, ASCII digits with
+    an optional ``/`` and digits, is read as two ints."""
+    if isinstance(text, str):
+        num, slash, den = text.partition("/")
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den) if slash else 1)
+    return Fraction(text)
 
 
 def _require_keys(rec, keys, where: str):

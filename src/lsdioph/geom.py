@@ -40,9 +40,8 @@ class Parallelepiped:
             raise ValueError("parallelepiped matrix must be square")
         if len(self.bounds) != d:
             raise ValueError("bound vector length mismatch")
-        for x in (e for row in self.matrix.entries for e in row):
-            if not isinstance(x, LaurentSeries) or not x.is_exact:
-                raise ValueError("matrix entries must be exact finite-support series")
+        if not self.matrix.is_exact:
+            raise ValueError("matrix entries must be exact finite-support series")
         for c in self.bounds:
             if c.is_zero or c.exponent().denominator != 1:
                 raise ValueError("bounds must be positive integer powers of k")

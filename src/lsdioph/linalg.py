@@ -24,8 +24,7 @@ def det(matrix: SeriesMatrix):
     so by Sylvester's identity each division by the previous pivot is
     exact.  A singular M gives (0, None)."""
     n, spec = matrix.rows, matrix.spec
-    entries = [x for r in matrix.entries for x in r]
-    if n != matrix.cols or not all(isinstance(x, LaurentSeries) and x.is_exact for x in entries):
+    if n != matrix.cols or not matrix.is_exact:
         raise ValueError("det needs a square matrix of exact finite-support entries")
     zero, one = LaurentSeries.zero(spec), LaurentSeries.one(spec)
     a = [
@@ -166,6 +165,8 @@ class FqEchelon:
 
     def add(self, row):
         """Insert a row; return its pivot, or None when the kept rows imply it."""
+        if not any(row):  # 0 = 0; a zero row with b != 0 reduces to its pivot nvars
+            return None
         row = self._reduce(list(row))
         c = next((i for i, a in enumerate(row) if a), None)
         if c is not None:

@@ -424,7 +424,7 @@ class SeriesMatrix:
     """Immutable rectangular matrix of series (or rational) scalars sharing
     one FieldSpec."""
 
-    __slots__ = ("spec", "entries", "rows", "cols")
+    __slots__ = ("spec", "entries", "rows", "cols", "_exact")
 
     def __init__(self, spec: FieldSpec, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -441,6 +441,17 @@ class SeriesMatrix:
         self.entries = entries
         self.rows = len(entries)
         self.cols = width
+        self._exact = None
+
+    @property
+    def is_exact(self) -> bool:
+        """Is every entry an exact finite-support series?  Found once per
+        matrix, which is immutable."""
+        if self._exact is None:
+            self._exact = all(
+                isinstance(x, LaurentSeries) and x.is_exact for row in self.entries for x in row
+            )
+        return self._exact
 
     @classmethod
     def zero(cls, spec, rows: int, cols: int) -> "SeriesMatrix":

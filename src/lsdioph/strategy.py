@@ -82,21 +82,30 @@ class StrategyConfig:
     def marker_level(self, kind: str, radius) -> int:
         """Number of levels whose marker threshold lies above ``radius``:
         the count of i >= 0 with radius < k^marker_exponent(kind, i)."""
-        fl = floor_log(radius, self.spec.k)
+        return self.marker_level_at(kind, floor_log(radius, self.spec.k))
+
+    def marker_level_at(self, kind: str, fl: int) -> int:
+        """``marker_level`` of a radius whose k-power floor is k^fl."""
         step = self.R_exp * self.d
         if kind == "k":
             return max(0, -((fl + self.R_exp * self.m) // step))
         return max(0, -(fl // step) - 1)
 
     def window_exponent(self, kind: str, i: int) -> int | Fraction:
-        if kind == "k":
-            return self.delta_exp + self.R_exp * self.n * (self.tau + i)
-        return self.delta_star_exp + self.R_exp * self.m * (1 + i)
+        return _over(self.scaled_exponents(kind, i)[0], self.d)
 
     def threshold_exponent(self, kind: str, i: int) -> int | Fraction:
+        return _over(self.scaled_exponents(kind, i)[1], self.d)
+
+    def scaled_exponents(self, kind: str, i: int) -> tuple:
+        """(m+n) times the level-i window and threshold exponents: integers,
+        because (m+n)*tau = m."""
+        R, m, n, d = self.R_exp, self.m, self.n, self.d
         if kind == "k":
-            return self.delta_exp - self.R_exp * (self.m * (self.tau + i) + self.n)
-        return self.delta_star_exp - self.R_exp * (self.n * (1 + i) + self.m)
+            base = d * self.delta_exp
+            return base + R * n * (m + d * i), base - R * (m * (m + d * i) + d * n)
+        base = d * self.delta_star_exp
+        return base + d * R * m * (1 + i), base - d * R * (n * (1 + i) + m)
 
     def first_block(self, kind: str) -> int:
         """Coordinates constrained by the height window (they multiply the
@@ -108,6 +117,11 @@ class StrategyConfig:
         """Strictly inside the guaranteed interval: one k below
         delta^(m+n) * R^(-n^2 - mn)."""
         return self.d * self.delta_exp - self.R_exp * (self.n**2 + self.m * self.n) - 1
+
+
+def _over(a: int, d: int) -> int | Fraction:
+    """a/d, an ``int`` when d divides a."""
+    return a // d if a % d == 0 else Fraction(a, d)
 
 
 @dataclass(frozen=True)
@@ -151,7 +165,17 @@ def _danger_rows(blocks, h: int, top: int, floor: int):
     value vanishes" for top >= s > floor: q solves them all exactly when
     each value sum_i q_i a_i (coefficient dicts from ``_block_digits``) has
     frac <= k^floor."""
-    return [coefficient_row(line, s, h) + [0] for s in range(top, floor, -1) for line in blocks]
+    return (coefficient_row(line, s, h) + [0] for s in range(top, floor, -1) for line in blocks)
+
+
+def _add_danger_rows(space: FqEchelon, blocks, h: int, top: int, floor: int):
+    """Add ``_danger_rows`` to the level space until its degree-h block is
+    all pivots: no vector of height k^h is left then, whatever rows follow."""
+    block = space.nvars - len(blocks[0])
+    for row in _danger_rows(blocks, h, top, floor):
+        p = space.add(row)
+        if p is not None and p >= block and all(c in space.rows for c in range(block, space.nvars)):
+            return
 
 
 def check_inequalities(
@@ -232,8 +256,7 @@ def danger_set(
         pert = Magnitude.power(k, h + e)
         floor = max(h + e, _ceil_minus_one(thr.exponent()))
         space = FqEchelon(spec, first * (h + 1))
-        for row in _danger_rows(blocks, h, -1, floor):
-            space.add(row)
+        _add_danger_rows(space, blocks, h, -1, floor)
         vectors = height_vectors(space, h, first)
         for q_first in sorted(vectors, key=lambda q: height_class_rank(q, h, k)):
             values = _block_values(C, kind, q_first)
@@ -532,6 +555,7 @@ class AvoidanceWhite:
         # (kind, h) -> (echelon of the danger rows, lowest exponent they
         # reach), or None once no vector of height k^h is left
         self._spaces = {}
+        self._dead = {"k": 0, "h": 0}  # the None entries per kind
         self._black = (None, 0, None)  # see black_radius
         self.dodges = 0
 
@@ -562,15 +586,20 @@ class AvoidanceWhite:
         keeps its rows for the game and adds only those of the exponents its
         floor newly passes."""
         cfg = self.cfg
+        kinds = [kind for kind in ("k", "h") if self._dead[kind] <= cfg.height_cap_exp]
+        if not kinds:  # no height up to the cap has a vector left
+            return []
         prev = t.last()
         e = prev.effective_exponent()
         radius = self.black_radius(t)
+        # in play the last ball is Black's, whose floor is e
+        fl = e if radius is prev.radius else floor_log(radius, cfg.spec.k)
         out = []
-        for kind in ("k", "h"):
-            stop = cfg.marker_level(kind, radius) + LOOKAHEAD + 1
+        for kind in kinds:
+            stop = cfg.marker_level_at(kind, fl) + LOOKAHEAD + 1
             first = cfg.first_block(kind)
             blocks = _block_digits(prev.center, kind)
-            for h, i, thr in self._admitted(kind, stop):
+            for h, i, thr_exp, thr_floor in self._admitted(kind, stop):
                 if i >= stop:
                     break
                 key = (kind, h)
@@ -579,28 +608,31 @@ class AvoidanceWhite:
                 if self._spaces[key] is None:
                     continue
                 space, reach = self._spaces[key]
-                thr_exp = thr.exponent()
-                floor = max(h + e, _ceil_minus_one(thr_exp))
-                for row in _danger_rows(blocks, h, reach - 1, floor):
-                    space.add(row)
+                floor = max(h + e, thr_floor)
+                _add_danger_rows(space, blocks, h, reach - 1, floor)
                 vectors = height_vectors(space, h, first)
                 self._spaces[key] = (space, min(reach, floor + 1)) if vectors else None
+                self._dead[kind] += not vectors
                 for q_first in vectors:
                     values = _block_values(prev.center, kind, q_first)
                     out.append((kind, q_first, h, values, thr_exp))
         return out
 
     def _admitted(self, kind: str, stop: int) -> list:
-        """Rows ``(h, i, thr)``, extended up to level ``stop`` or the cap: i is
-        the lowest level whose window admits height k^h, thr its threshold.
+        """Rows ``(h, i, thr, floor)``, extended up to level ``stop`` or the
+        cap: i is the lowest level whose window admits height k^h, thr the
+        exponent of its threshold and floor the largest integer below thr.
         Windows grow with i, so i does not decrease along the rows."""
         cfg = self.cfg
         rows = self._rows[kind]
         i = self._next_level[kind]
+        d = cfg.d
         while i < stop and len(rows) <= cfg.height_cap_exp:
-            top = min(_ceil_minus_one(cfg.window_exponent(kind, i)), cfg.height_cap_exp)
-            thr = Magnitude(cfg.spec.k, cfg.threshold_exponent(kind, i))
-            rows.extend((h, i, thr) for h in range(len(rows), top + 1))
+            # in integers: ceil(a/d) - 1 is the largest integer below a/d
+            window, thr = cfg.scaled_exponents(kind, i)
+            top = min(-(-window // d) - 1, cfg.height_cap_exp)
+            row = (i, _over(thr, d), -(-thr // d) - 1)
+            rows.extend((h, *row) for h in range(len(rows), top + 1))
             i += 1
         self._next_level[kind] = i
         return rows

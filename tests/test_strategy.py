@@ -1184,10 +1184,10 @@ def test_admitted_heights_match_the_level_loop(field, m, n, R_exp, cap, den_exp,
     # a shallower walk first: the rows it builds are kept and extended
     white._admitted(kind, stop // 2)
     rows = white._admitted(kind, stop)
-    assert all(i < stop for _h, i, _thr in rows)
-    assert [(h, i, thr.exponent()) for h, i, thr in rows] == _level_loop_heights(
+    assert all(i < stop for _h, i, _thr, _floor in rows)
+    assert [(h, i, thr) for h, i, thr, _floor in rows] == _level_loop_heights(
         cfg, kind, marker_level
     )
-    assert all(thr == Magnitude(spec.k, cfg.threshold_exponent(kind, i)) for _h, i, thr in rows)
+    assert all(floor == _ceil_minus_one(thr) for _h, _i, thr, floor in rows)
     # a deep enough walk admits every height up to the cap, and then stops
-    assert [h for h, _i, _thr in white._admitted(kind, 10**9)] == list(range(cap + 1))
+    assert [row[0] for row in white._admitted(kind, 10**9)] == list(range(cap + 1))
