@@ -495,7 +495,7 @@ def _parallelepiped(args, spec) -> Parallelepiped:
 def _cmd_sucmin(args):
     spec = parse_field(args.field)
     P = _parallelepiped(args, spec)
-    sm = successive_minima(P, args.degree_bound)
+    sm = successive_minima(P, args.degree_bound, args.budget)
     return sm.to_json()
 
 

@@ -191,7 +191,8 @@ def box_count_bad(
     -1..-t; the survival condition only reads coefficients above a finite
     depth, so the count is exact.  K = 0 keeps every cell; K >= 1 kills
     every cell (a Dirichlet-type witness always scores below 1).  ``budget``
-    bounds the cells the prefix walk visits.
+    bounds the cells the prefix walk visits, or over GF(2) with one form the
+    prefixes tested for cover.
     """
     if t < 1 or m < 1 or n < 1:
         raise ValueError("t, m and n must be >= 1")
@@ -207,14 +208,14 @@ def box_count_bad(
         raise ValueError("K must be an exact power of k (or zero)")
     K_exp = int(K.exponent())
     if k == 2 and spec.r == 1 and m == 1 and n == 1:
-        dead = _dead_prefix_counts_gf2(K_exp, cap, t)
+        dead = _dead_prefix_counts_gf2(K_exp, cap, t, budget)
         return [
             BoxCountRow(r, 2**r, 2**r - dead[r], k_base=2) for r in range(1, t + 1)
         ]
     return _box_count_walk(K_exp, cap, t, m, n, spec, budget)
 
 
-def _dead_prefix_counts_gf2(K_exp: int, cap: int, t: int):
+def _dead_prefix_counts_gf2(K_exp: int, cap: int, t: int, budget: int):
     """Exact dead-cell counts per resolution over GF(2), single form.
 
     For each q the failing set {A : dist(qA) < K/||q||} is an affine
@@ -224,6 +225,13 @@ def _dead_prefix_counts_gf2(K_exp: int, cap: int, t: int):
     fixed bit patterns (a subcube), then count the cell prefixes entirely
     covered by the union of subcubes.
     """
+    # every prefix of every resolution up to t is tested once at least
+    if (1 << (t + 1)) - 2 > budget:
+        raise SearchBudgetExceeded(
+            f"box count needs {(1 << (t + 1)) - 2} prefix tests at least, over the budget"
+            f" of {budget}",
+            count=0,
+        )
     subcubes = []  # (fixed_len, pattern_int) bits 0.. fixed_len-1 <-> exps -1..-fixed_len
     for d in range(0, cap + 1):
         window = d - K_exp  # number of vanishing window coefficients
@@ -253,8 +261,17 @@ def _dead_prefix_counts_gf2(K_exp: int, cap: int, t: int):
 
     from functools import lru_cache
 
+    tested = 0
+
     @lru_cache(maxsize=None)
     def covered(depth: int, prefix: int) -> bool:
+        nonlocal tested
+        if tested >= budget:
+            raise SearchBudgetExceeded(
+                f"box count exceeded the budget of {budget} prefix tests at resolution {depth}",
+                count=tested,
+            )
+        tested += 1
         live = []
         for L, pat in subcubes:
             mask = (1 << min(L, depth)) - 1

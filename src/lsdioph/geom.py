@@ -17,7 +17,7 @@ linear conditions on the coefficients, one nullspace per minima level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -102,15 +102,17 @@ class SuccessiveMinima:
     values: tuple
     measure: Fraction
     body: Parallelepiped
+    budget: int | None = field(default=None, compare=False)  # per level walk
 
     @cached_property
     def witnesses(self) -> tuple:
         """Attaining vectors from the level walk, run at the minima levels only:
-        any other level adds no vector independent over F_q(X) of those kept."""
+        any other level adds no vector independent over F_q(X) of those kept.
+        Each walk writes at most ``budget`` row entries."""
         P, slack = self.body, _slack(self.body)
         witnesses, echelon = [], PolyEchelon()
         for e in sorted({int(v.exponent()) for v in self.values}):
-            for vec in level_space(P.scaled_matrix, e, e + slack):
+            for vec in level_space(P.scaled_matrix, e, e + slack, self.budget):
                 if len(witnesses) < P.dim and echelon.add(vec):
                     if (val := distance_value(P, vec)) != Magnitude.power(P.spec.k, e):
                         raise SearchIncomplete(
@@ -133,11 +135,13 @@ def _slack(P: Parallelepiped) -> int:
     return adj_lead - measure_exponent_dual(P)
 
 
-def successive_minima(P: Parallelepiped, degree_bound: int | None = None) -> SuccessiveMinima:
+def successive_minima(
+    P: Parallelepiped, degree_bound: int | None = None, budget: int | None = None
+) -> SuccessiveMinima:
     """Exact successive minima: the row degrees of a weak Popov basis of the
     lattice {xB}, B the scaled matrix, each checked on its x and certified by
     the product law.  A degree bound raises where a walk up from level -slack
-    would: at the first box above it."""
+    would: at the first box above it.  ``budget`` bounds the witness walks."""
     k, slack = P.spec.k, _slack(P)
     exps = []
     for row, x in zip(*weak_popov(P.scaled_matrix.entries)):
@@ -153,7 +157,7 @@ def successive_minima(P: Parallelepiped, degree_bound: int | None = None) -> Suc
         box = max(0, degree_bound + 1)
         raise SearchIncomplete(f"level k^{box - slack} needs vectors of degree up to {box}", box)
     values = tuple(Magnitude.power(k, e) for e in exps)
-    return SuccessiveMinima(values, parallelepiped_measure(P), P)
+    return SuccessiveMinima(values, parallelepiped_measure(P), P, budget)
 
 
 def polar(P: Parallelepiped) -> Parallelepiped:

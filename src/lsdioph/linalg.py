@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 
+from .errors import SearchBudgetExceeded
 from .field import FieldSpec, Poly
 from .series import LaurentSeries, RationalFn, SeriesMatrix, vec_dot
 
@@ -231,13 +232,14 @@ def coefficient_row(coeffs, s: int, h: int):
     return [c.get(s - t, 0) for t in range(h + 1) for c in coeffs]
 
 
-def level_space(A: SeriesMatrix, e: int, h: int):
+def level_space(A: SeriesMatrix, e: int, h: int, budget: int | None = None):
     """F_q-basis of {x : deg x_i <= h, ||x . A_j|| <= k^e for every column j}
     for exact finite-support entries, as polynomial vectors.  The walk's
     variables run by degree, which fixes the basis: a coordinate-major order
-    gives other witnesses in ``successive_minima`` on some inputs."""
+    gives other witnesses in ``successive_minima`` on some inputs.  ``budget``
+    bounds the row entries the walk writes."""
     top = h + max((s for r in A.entries for x in r for s in x.coeffs), default=e)
-    walk = LevelWalk(A, h, e + 1 - h, top=top)
+    walk = LevelWalk(A, h, e + 1 - h, top=top, budget=budget)
     while walk.level > e:
         walk.descend(e + 1)
     d = A.rows
@@ -255,9 +257,11 @@ class LevelWalk:
     the rank gained on the degree-h block, and some q of height exactly k^h
     is left iff it is below m.  Entries are read down to X^lo; an unknown
     coefficient reads 0, so block h is exact while level >= h + floor - 1
-    for the precision floor of a truncated entry."""
+    for the precision floor of a truncated entry.  A ``budget`` bounds the
+    row entries written, which grow with the walk's work."""
 
-    def __init__(self, A: SeriesMatrix, cap: int, lo: int, cols=None, top: int = -1):
+    def __init__(self, A: SeriesMatrix, cap: int, lo: int, cols=None, top: int = -1,
+                 budget: int | None = None):
         cols = range(A.cols) if cols is None else cols
         self.m, self.cap = A.rows, cap
         self.columns = [[_coefficients(x, lo) for x in A.col(j)] for j in cols]
@@ -267,6 +271,7 @@ class LevelWalk:
         self.echelon = FqEchelon(A.spec, A.rows * (cap + 1))
         self.level = top
         self.pivots = [0] * (cap + 1)
+        self.budget, self.written = budget, 0
 
     def descend(self, floor: int):
         """Add the rows of the next level with a nonzero row, or of ``floor``
@@ -274,7 +279,15 @@ class LevelWalk:
         i = bisect.bisect_right(self.exps, self.level)
         nxt = min(self.level, self.exps[i - 1] + self.cap) if i else floor
         self.level = max(floor, nxt)
+        width = self.echelon.nvars + 1
         for coeffs in self.columns:
+            if self.budget is not None and self.written + width > self.budget:
+                raise SearchBudgetExceeded(
+                    f"level walk exceeded the budget of {self.budget} row entries"
+                    f" at level {self.level}",
+                    count=self.written,
+                )
+            self.written += width
             p = self.echelon.add(coefficient_row(coeffs, self.level, self.cap) + [0])
             if p is not None:
                 self.pivots[p // self.m] += 1

@@ -650,7 +650,7 @@ class AvoidanceWhite:
         best = None
         for delta_pat in self._candidate_patterns():
             shift = _pattern_matrix(spec, cfg.m, cfg.n, delta_pat, g)
-            margin = min(self._margin(shift, e_sub, *danger) for danger in dangers)
+            margin = min(self.margin(shift, e_sub, *danger) for danger in dangers)
             if best is None or margin > best[0]:
                 best = (margin, delta_pat, shift)
         _, pat, shift = best
@@ -669,7 +669,7 @@ class AvoidanceWhite:
         pats.extend(_single_entry_patterns(spec, cells))
         return pats
 
-    def _margin(self, shift, e_sub, kind, q_first, h, values, thr_exp):
+    def margin(self, shift, e_sub, kind, q_first, h, values, thr_exp):
         """Worst-case violation margin of the danger on the sub-ball moved
         by the candidate ``shift`` matrix (in k-exponents; higher is safer,
         None-like floor is represented by a large negative number)."""
@@ -690,7 +690,8 @@ class LiteralWhite:
     rounds, recentering so the move's projection on the anchor is at least
     (1-alpha)/k of the ball radius times the anchor height; the anchor is
     the discrete gradient of the top principal minor at the current center.
-    Falls back to avoidance play when the gradient vanishes."""
+    Falls back to avoidance play when the gradient vanishes, or when the
+    anchored move leaves a k-type danger unresolved (margin <= 0)."""
 
     name = "white-literal"
 
@@ -720,7 +721,8 @@ class LiteralWhite:
         prev = t.last()
         alpha = t.params.alpha
         spec = cfg.spec
-        if not self._avoid.active_dangers(t):
+        dangers = self._avoid.active_dangers(t)
+        if not dangers:
             # no hypothetical bad matrix to refute: the anchored maneuver is
             # only engaged inside a danger episode
             self.anchor = None
@@ -737,12 +739,16 @@ class LiteralWhite:
         if top.is_zero:
             self.anchor = None
             return self._avoid.propose(t)
-        cell = norms.index(top)
-        i, j = divmod(cell, cfg.n)
+        pat = [0] * (cfg.m * cfg.n)
+        pat[norms.index(top)] = 1
         g = legal_center_shift_exponent(prev, alpha)
-        rows = [list(r) for r in prev.center.entries]
-        rows[i][j] = rows[i][j] + LaurentSeries.monomial(spec, 1, g)
-        ball = FormalBall(SeriesMatrix(spec, rows), alpha * prev.radius)
+        shift = _pattern_matrix(spec, cfg.m, cfg.n, pat, g)
+        # the anchor comes from the h-type dangers only: a k-type one the
+        # anchored move leaves standing is dodged by the avoidance move
+        e_sub = floor_log(alpha * prev.radius, spec.k)
+        if any(self._avoid.margin(shift, e_sub, *d) <= 0 for d in dangers if d[0] == "k"):
+            return self._avoid.propose(t)
+        ball = FormalBall(prev.center + shift, alpha * prev.radius)
         # the anchored-projection bound: k^g >= (1 - alpha) * radius / k
         if Fraction(spec.k**g if g >= 0 else Fraction(1, spec.k**-g)) * spec.k < (
             1 - alpha

@@ -15,9 +15,12 @@ replaced in ``successive_minima``, renamed the same way; it returns the
 pair (values, witnesses) instead of a ``SuccessiveMinima``.  And the text
 grammar's splitter, term parser and formatter from before replay parsed each
 distinct term once, renamed the same way; ``oracle_parse_series`` is the
-old ``parse_series`` built on them."""
+old ``parse_series`` built on them.  Last, the game path before White's
+danger scan skipped rows and transcripts skipped re-encoding (see the
+section at the end)."""
 
 import itertools
+import json
 from fractions import Fraction
 
 from lsdioph.approx import (
@@ -38,9 +41,17 @@ from lsdioph.errors import (
     WitnessNotFound,
 )
 from lsdioph.field import FieldSpec, Magnitude
-from lsdioph.game import FormalBall, canonicalize
+from lsdioph.game import (
+    FormalBall,
+    GameParams,
+    GameTranscript,
+    IllegalMove,
+    _field_flag,
+    _require_keys,
+    canonicalize,
+)
 from lsdioph.geom import Parallelepiped, distance_value, measure_exponent_dual
-from lsdioph.linalg import PolyEchelon, level_space
+from lsdioph.linalg import FqEchelon, PolyEchelon, coefficient_row, height_vectors, level_space
 from lsdioph.errors import SeriesSyntaxError
 from lsdioph.series import (
     MAX_EXPONENT,
@@ -49,15 +60,21 @@ from lsdioph.series import (
     SeriesMatrix,
     _parse_coeff_int,
     _parse_coeff_tuple,
+    format_series,
+    parse_field,
+    parse_series,
     scalar_one,
     vec_dot,
     vec_height,
 )
 from lsdioph.strategy import (
     DANGER_BUDGET,
+    LOOKAHEAD,
+    AvoidanceWhite,
     BadnessCertificate,
     DangerReport,
     StrategyConfig,
+    _block_digits,
     _block_values,
     _ceil_minus_one,
     _tail_variants,
@@ -688,3 +705,168 @@ def oracle_format_series(x: LaurentSeries) -> str:
         else:
             terms.append(f"{cs}*{xs}")
     return " + ".join(terms)
+
+
+# ---------------------------------------------------------------------------
+# The game path before White's danger scan skipped rows and transcripts
+# skipped re-encoding: FqEchelon.add, the level-window formulas with tau,
+# AvoidanceWhite.active_dangers and _admitted, GameTranscript.to_jsonl and
+# from_jsonl, renamed with an ``oracle_`` prefix and otherwise verbatim, save
+# that the scan adds its rows to an ``OracleFqEchelon`` and reads the
+# formulas below, and that replay checks moves with ``oracle_validate_move``.
+# ---------------------------------------------------------------------------
+
+
+class OracleFqEchelon(FqEchelon):
+    def add(self, row):
+        """Insert a row; return its pivot, or None when the kept rows imply it."""
+        row = self._reduce(list(row))
+        c = next((i for i, a in enumerate(row) if a), None)
+        if c is not None:
+            inv = self.spec.inv(row[c])
+            self.rows[c] = [self.spec.mul(inv, a) for a in row[c:]]
+        return c
+
+
+def oracle_window_exponent(cfg, kind: str, i: int):
+    if kind == "k":
+        return cfg.delta_exp + cfg.R_exp * cfg.n * (cfg.tau + i)
+    return cfg.delta_star_exp + cfg.R_exp * cfg.m * (1 + i)
+
+
+def oracle_threshold_exponent(cfg, kind: str, i: int):
+    if kind == "k":
+        return cfg.delta_exp - cfg.R_exp * (cfg.m * (cfg.tau + i) + cfg.n)
+    return cfg.delta_star_exp - cfg.R_exp * (cfg.n * (1 + i) + cfg.m)
+
+
+def _oracle_danger_rows(blocks, h: int, top: int, floor: int):
+    return [coefficient_row(line, s, h) + [0] for s in range(top, floor, -1) for line in blocks]
+
+
+class OracleFullScanWhite(AvoidanceWhite):
+    """``AvoidanceWhite`` with the scan it had before: every row of every
+    newly passed exponent is built and reduced, zero rows included."""
+
+    def active_dangers(self, t: GameTranscript):
+        cfg = self.cfg
+        prev = t.last()
+        e = prev.effective_exponent()
+        radius = self.black_radius(t)
+        out = []
+        for kind in ("k", "h"):
+            stop = cfg.marker_level(kind, radius) + LOOKAHEAD + 1
+            first = cfg.first_block(kind)
+            blocks = _block_digits(prev.center, kind)
+            for h, i, thr in self._admitted(kind, stop):
+                if i >= stop:
+                    break
+                key = (kind, h)
+                if key not in self._spaces:
+                    self._spaces[key] = (OracleFqEchelon(cfg.spec, first * (h + 1)), 0)
+                if self._spaces[key] is None:
+                    continue
+                space, reach = self._spaces[key]
+                thr_exp = thr.exponent()
+                floor = max(h + e, _ceil_minus_one(thr_exp))
+                for row in _oracle_danger_rows(blocks, h, reach - 1, floor):
+                    space.add(row)
+                vectors = height_vectors(space, h, first)
+                self._spaces[key] = (space, min(reach, floor + 1)) if vectors else None
+                for q_first in vectors:
+                    values = _block_values(prev.center, kind, q_first)
+                    out.append((kind, q_first, h, values, thr_exp))
+        return out
+
+    def _admitted(self, kind: str, stop: int) -> list:
+        cfg = self.cfg
+        rows = self._rows[kind]
+        i = self._next_level[kind]
+        while i < stop and len(rows) <= cfg.height_cap_exp:
+            top = min(_ceil_minus_one(oracle_window_exponent(cfg, kind, i)), cfg.height_cap_exp)
+            thr = Magnitude(cfg.spec.k, oracle_threshold_exponent(cfg, kind, i))
+            rows.extend((h, i, thr) for h in range(len(rows), top + 1))
+            i += 1
+        self._next_level[kind] = i
+        return rows
+
+
+def oracle_validate_move(prev, proposal, ratio) -> bool:
+    """The radius law in ``Fraction``s, then ``oracle_formal_contains``."""
+    if not 0 < ratio < 1:
+        raise ValueError("ratio must lie in (0, 1)")
+    if proposal.radius != ratio * prev.radius:
+        return False
+    return oracle_formal_contains(proposal, prev)
+
+
+def oracle_to_jsonl(self) -> str:
+    p = self.params
+    lines = [
+        json.dumps(
+            {
+                "type": "header",
+                "field": _field_flag(p.spec),
+                "alpha": str(p.alpha),
+                "beta": str(p.beta),
+                "shape": list(self.shape),
+            },
+            sort_keys=True,
+        )
+    ]
+    terms, center, text = {}, None, None
+    for i, b in enumerate(self.balls):
+        if b.center is not center:
+            center = b.center
+            text = [[format_series(x, terms) for x in row] for row in center.entries]
+        lines.append(
+            json.dumps(
+                {"player": self.player_at(i), "center": text, "radius": str(b.radius)},
+                sort_keys=True,
+            )
+        )
+    if self.forfeit is not None:
+        lines.append(
+            json.dumps(
+                {
+                    "type": "forfeit",
+                    "player": self.forfeit.player,
+                    "index": self.forfeit.index,
+                },
+                sort_keys=True,
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_from_jsonl(text: str) -> GameTranscript:
+    lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("replay: empty transcript")
+    header = lines[0]
+    _require_keys(header, ("field", "alpha", "beta"), "header record")
+    spec = parse_field(header["field"])
+    params = GameParams(
+        Fraction(header["alpha"]), Fraction(header["beta"]), spec
+    )
+    t = GameTranscript(params)
+    terms, text, center = {}, None, None
+    for number, rec in enumerate(lines[1:], 2):
+        where = f"record {number}"
+        if isinstance(rec, dict) and rec.get("type") == "forfeit":
+            _require_keys(rec, ("player", "index"), where)
+            t.forfeit = IllegalMove(rec["player"], rec["index"])
+            continue
+        _require_keys(rec, ("center", "radius"), where)
+        if rec["center"] != text:
+            text = rec["center"]
+            center = SeriesMatrix(
+                spec, [[parse_series(s, spec, terms) for s in row] for row in text]
+            )
+        ball = FormalBall(center, Fraction(rec["radius"]))
+        if t.balls:
+            ratio = params.alpha if t.player_at(len(t.balls)) == "white" else params.beta
+            if not oracle_validate_move(t.balls[-1], ball, ratio):
+                raise ValueError(f"replay: illegal move at index {len(t.balls)}")
+        t.balls.append(ball)
+    return t

@@ -520,6 +520,27 @@ def _small_transcript(tmp_path, capsys):
     return str(path)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every cover test scans up to about 5,000 subcubes; t = 8 alone
+        # takes seconds unbounded
+        ["dim", "boxcount", "--field", "2", "--t", "16", "--cap", "6", "--K-exps", "-10"],
+        # one row of the witness walk has about 40,000 entries
+        ["sucmin", "--field", "2", "--matrix", "X^20000, 1; 1, X^-3"],
+    ],
+    ids=["boxcount", "sucmin"],
+)
+def test_searches_obey_the_budget(argv, capsys):
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv, "--budget", "1000", "--no-timestamp")
+    elapsed = time.perf_counter() - t0
+    diagnostic = json.loads(err)
+    assert code == 3 and diagnostic["error"] == "SearchBudgetExceeded"
+    assert diagnostic["count"] <= 1000
+    assert elapsed < 1.0
+
+
 EDGE = ["-1", "0", "99999999999", ""]
 
 

@@ -285,7 +285,7 @@ def test_box_count_walk_matches_the_gf2_fast_path():
     for t in range(1, 9):
         for cap in range(5):
             for K_exp in range(-9, 1):
-                dead = dim._dead_prefix_counts_gf2(K_exp, cap, t)
+                dead = dim._dead_prefix_counts_gf2(K_exp, cap, t, 1 << 20)
                 walk = dim._box_count_walk(K_exp, cap, t, 1, 1, F2, 1 << 20)
                 assert surviving(walk) == [2**r - dead[r] for r in range(1, t + 1)]
 
@@ -305,6 +305,28 @@ def test_box_count_budget_bounds_the_cells_visited():
         )
     assert err.value.count == 10
     assert "resolution" in str(err.value)
+
+
+@pytest.mark.parametrize("K_exp, cap, t", [(-6, 4, 6), (-3, 2, 4), (-9, 3, 5)])
+def test_gf2_box_count_budget_bounds_the_prefix_tests(K_exp, cap, t):
+    """The GF(2) path counts the prefixes it tests for cover: it raises with
+    the count reached one budget short of what it needs, and that budget
+    itself gives the unbudgeted counts.  A budget below 2^(t+1) - 2, the
+    prefixes of every resolution, raises before any test."""
+    want = dim._dead_prefix_counts_gf2(K_exp, cap, t, 1 << 20)
+    floor = (1 << (t + 1)) - 2
+    with pytest.raises(SearchBudgetExceeded) as err:
+        dim._dead_prefix_counts_gf2(K_exp, cap, t, floor - 1)
+    assert err.value.count == 0
+    budget = floor
+    while True:
+        try:
+            got = dim._dead_prefix_counts_gf2(K_exp, cap, t, budget)
+            break
+        except SearchBudgetExceeded as exc:
+            assert exc.count == budget
+            budget += 1
+    assert got == want and budget > floor
 
 
 def test_box_count_generic_other_field():

@@ -7,7 +7,7 @@ from oracles import oracle_poly_rank
 from random_polys import random_invertible_poly_matrix
 
 from lsdioph.approx import iter_polys
-from lsdioph.errors import SearchIncomplete
+from lsdioph.errors import SearchBudgetExceeded, SearchIncomplete
 from lsdioph.field import FieldSpec, Magnitude, Poly
 from lsdioph.geom import (
     Parallelepiped,
@@ -126,6 +126,26 @@ def test_minima_skewed_unimodular_needs_deep_witness():
     assert [int(v.exponent()) for v in sm.values] == [0, 0]
     degs = sorted(max(p.degree for p in w) for w in sm.witnesses)
     assert degs == [0, 5]
+
+
+def test_witness_walk_obeys_the_budget():
+    """Each witness walk writes at most ``budget`` row entries: one budget
+    short of the largest walk raises with the count written, and that
+    budget itself gives the unbudgeted witnesses."""
+    P = unit_pp(parse_matrix("1, X^5; X^2, 1 + X^3", F2))
+    want = successive_minima(P).witnesses
+    budget = 1
+    while True:
+        try:
+            got = successive_minima(P, budget=budget).witnesses
+            break
+        except SearchBudgetExceeded as exc:
+            assert exc.count <= budget
+            budget += 1
+    assert got == want and budget > 1
+    with pytest.raises(SearchBudgetExceeded) as err:
+        successive_minima(P, budget=budget - 1).witnesses
+    assert "row entries" in str(err.value)
 
 
 def test_minima_search_incomplete_on_tiny_box():

@@ -26,6 +26,7 @@ from lsdioph.game import (
     play,
     unit_ball,
 )
+from lsdioph.linalg import FqEchelon, height_vectors
 from lsdioph.sampling import random_ball, random_orthonormal_basis
 from lsdioph.series import (
     LaurentSeries,
@@ -866,6 +867,18 @@ class OracleLiteralWhite:
         cell = norms.index(top)
         i, j = divmod(cell, cfg.n)
         g = legal_center_shift_exponent(prev, alpha)
+        # the rule LiteralWhite follows since it dodges q = 1: a k-type
+        # danger the anchored move leaves at margin <= 0 is met by the
+        # avoidance move (at any level, as the lowest gives the least margin)
+        pat = [0] * (cfg.m * cfg.n)
+        pat[cell] = 1
+        shift = _pattern_matrix(spec, cfg.m, cfg.n, pat, g)
+        residual = prev.center - canonical.center
+        for kind, _level, key, thr_exp in dangers:
+            if kind == "k":
+                res = _block_values(residual, kind, self._avoid._qvecs[(kind, key)])
+                if self._avoid._margin(kind, key, shift, _e_sub, thr_exp, res) <= 0:
+                    return self._avoid.propose(t)
         rows = [list(r) for r in prev.center.entries]
         rows[i][j] = rows[i][j] + LaurentSeries.monomial(spec, 1, g)
         ball = FormalBall(SeriesMatrix(spec, rows), alpha * prev.radius)
@@ -1054,6 +1067,34 @@ def test_frac_digit_scan_matches_the_safe_test(field, shape, kind, cancel, e, th
         live = live and value == 0
     assert live != oracle_has_frac_digit(blocks, q_first, floor, spec)
     assert live != oracle_pinned_safe(center, kind, q_first, pert, thr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]),
+    first=st.integers(1, 3),
+    lines=st.integers(1, 2),
+    h=st.integers(0, 3),
+    top=st.integers(-4, -1),
+    floor=st.integers(-14, -2),
+    data=st.data(),
+)
+def test_added_danger_rows_leave_the_same_height_vectors(
+    field, first, lines, h, top, floor, data
+):
+    """Adding the danger rows until the degree-h block is all pivots leaves
+    the level space's height-h vectors those of every row added, and the
+    space it builds as far as it got."""
+    spec = FieldSpec(*field)
+    assume(spec.k ** (first * (h + 1)) <= 3**8)  # height_vectors lists the null space
+    digits = st.dictionaries(st.integers(-16, 0), st.integers(1, spec.k - 1), max_size=5)
+    blocks = [[data.draw(digits) for _ in range(first)] for _ in range(lines)]
+    got = FqEchelon(spec, first * (h + 1))
+    want = oracles.OracleFqEchelon(spec, first * (h + 1))
+    strategy._add_danger_rows(got, blocks, h, top, floor)
+    for row in _danger_rows(blocks, h, top, floor):
+        want.add(row)
+    assert height_vectors(got, h, first) == height_vectors(want, h, first)
 
 
 @settings(max_examples=150)

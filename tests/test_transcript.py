@@ -3,8 +3,8 @@
 The series grammar's split, term parser and formatter against the code
 they replaced (``tests/oracles.py``); transcript round trips; replay cost
 counted in term parses; and pins on game outcomes: the sha256 of the
-transcripts of the benchmark's first seed-0 game round, and the six
-benchmark games that White loses."""
+transcripts of the benchmark's first seed-0 game round, the five
+benchmark games that White loses, and two it once lost."""
 
 import hashlib
 import importlib.util
@@ -16,17 +16,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    OracleFullScanWhite,
+    OracleFqEchelon,
     oracle_format_series,
+    oracle_from_jsonl,
     oracle_parse_series,
     oracle_split_top,
+    oracle_to_jsonl,
 )
 
 from lsdioph import series
 from lsdioph.cli import main
 from lsdioph.field import FieldSpec
-from lsdioph.game import GameParams, GameTranscript, RandomBlack, StopRule, play, unit_ball
+from lsdioph.game import (
+    GameParams,
+    GameTranscript,
+    GreedyBlack,
+    RandomBlack,
+    StopRule,
+    play,
+    unit_ball,
+)
+from lsdioph.linalg import FqEchelon
 from lsdioph.series import LaurentSeries, _split_top, format_series, parse_series
-from lsdioph.strategy import StrategyConfig, make_white
+from lsdioph.strategy import AvoidanceWhite, StrategyConfig, make_white
 
 FIELDS = [FieldSpec(2, 1), FieldSpec(3, 1), FieldSpec(2, 2), FieldSpec(3, 2)]
 SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
@@ -160,6 +173,115 @@ def test_replay_parses_each_distinct_term_once(monkeypatch):
     assert per_record > 20 * len(distinct)  # what one parse per term would cost
 
 
+def _recorded(white):
+    """The White, with the result of each ``active_dangers`` call kept in
+    the list returned beside it."""
+    seen, scan = [], white.active_dangers
+    white.active_dangers = lambda t: seen.append(scan(t)) or seen[-1]
+    return white, seen
+
+
+def replay(read, text):
+    """What a replay gives: the transcript's parts, or the exception."""
+    try:
+        t = read(text)
+    except Exception as exc:  # noqa: BLE001  (the outcome is compared)
+        return type(exc), str(exc)
+    return t.params, t.balls, [type(b.radius) for b in t.balls], t.forfeit
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=st.sampled_from(FIELDS),
+    shape=st.sampled_from([(1, 1), (2, 1), (1, 2)]),
+    R_exp=st.integers(1, 2),
+    cap=st.integers(0, 3),
+    rounds=st.integers(1, 16),
+    seed=st.one_of(st.none(), st.integers(0, 10**6)),
+)
+def test_game_path_matches_the_oracles(spec, shape, R_exp, cap, rounds, seed):
+    """White lists the same dangers in the same order as the scan that built
+    and reduced every row, plays the same game, and the transcript is
+    written and replayed as before.  Greedy Black (no seed) steers toward a
+    polynomial, so White meets dangers and dodges them."""
+    cfg = StrategyConfig(spec, *shape, R_exp=R_exp, height_cap_exp=min(cap, 2 + (spec.k <= 3)))
+    params = GameParams(Fraction(1, 4), Fraction(1, 2), spec)
+    games = []
+    for white in (AvoidanceWhite(cfg), OracleFullScanWhite(cfg)):
+        white, seen = _recorded(white)
+        black = GreedyBlack() if seed is None else RandomBlack(seed)
+        stop = StopRule(max_rounds=rounds)
+        games.append((play(white, black, unit_ball(spec, *shape), params, stop), seen))
+    (t, seen), (want, want_seen) = games
+    assert seen == want_seen
+    assert t.balls == want.balls and t.forfeit == want.forfeit
+    text = t.to_jsonl()
+    assert text == oracle_to_jsonl(want)
+    assert replay(GameTranscript.from_jsonl, text) == replay(oracle_from_jsonl, text)
+
+
+# radius texts that to_jsonl never writes, and near misses of those it does
+RADIUS_TEXTS = ["1/0", "-1/2", " 1/2 ", "0.5", "1e3", "\u0663/4", "1/", "/2", "", "1_0",
+                "+1/2", "1 /2", "\u00b2/4", "1/-2", "0", "0/5", 0.5, 3, None, [1, 2]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(FIELDS), seed=st.integers(0, 50))
+def test_replay_matches_the_oracle_on_edited_records(data, spec, seed):
+    """Replay gives what it gave before, value or exception, on transcripts
+    whose radii are rewritten: as other texts, unreduced or zero-padded
+    forms of the same radius, or values of other JSON types; and whose
+    records are dropped or given the previous record's centre."""
+    lines = _game(spec, 1, 1, rounds=4, seed=seed, cap=2).to_jsonl().splitlines()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(1, len(lines) - 1))
+        rec = json.loads(lines[i])
+        edit = data.draw(st.sampled_from(["radius", "radius", "same", "centre", "drop"]))
+        if edit == "drop":
+            del lines[i]
+            continue
+        if edit == "centre" and i > 1:
+            rec["center"] = json.loads(lines[i - 1])["center"]
+        else:
+            try:
+                r = Fraction(rec["radius"])
+            except (TypeError, ValueError, ZeroDivisionError):  # edited before
+                r = Fraction(1, 3)
+            same = [f"{2 * r.numerator}/{2 * r.denominator}", f"0{r.numerator}/{r.denominator}",
+                    str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"]
+            texts = same if edit == "same" else RADIUS_TEXTS
+            rec["radius"] = data.draw(st.sampled_from(texts))
+        lines[i] = json.dumps(rec, sort_keys=True)
+    text = "\n".join(lines) + "\n"
+    assert replay(GameTranscript.from_jsonl, text) == replay(oracle_from_jsonl, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), spec=st.sampled_from(FIELDS), nvars=st.integers(1, 5))
+def test_fq_echelon_add_matches_the_oracle(data, spec, nvars):
+    """Rows mostly zero, some zero but for the right-hand side: the same
+    pivots and kept rows as the elimination that reduced every row."""
+    entry = st.sampled_from([0, 0, 0, *range(1, spec.k)])
+    rows = data.draw(st.lists(st.lists(entry, min_size=nvars + 1, max_size=nvars + 1), max_size=8))
+    got, want = FqEchelon(spec, nvars), OracleFqEchelon(spec, nvars)
+    for row in rows:
+        assert got.add(row) == want.add(row)
+        assert got.rows == want.rows
+    assert got.consistent == want.consistent
+
+
+@pytest.mark.parametrize("spec", FIELDS, ids=str)
+def test_zero_row_with_a_nonzero_right_hand_side_is_inconsistent(spec):
+    """0 = b with b != 0 has no solution: the row is kept at pivot nvars,
+    whatever rows came before it; 0 = 0 is implied."""
+    for b in range(1, spec.k):
+        echelon = FqEchelon(spec, 2)
+        assert echelon.add([1, 0, 0]) == 0 and echelon.add([0, 0, 0]) is None
+        assert echelon.consistent
+        assert echelon.add([0, 0, b]) == 2
+        assert not echelon.consistent
+
+
 # (field, m, n, white, seed, cap, sha256 of the transcript): the games of
 # round 0 of the benchmark's game-certify workload at seed 0, all won
 ROUND0_SEED0 = [
@@ -189,8 +311,6 @@ ROUND0_SEED0 = [
 # names, sha256 of the transcript): benchmark games White loses, each
 # certify exiting 4 with CounterexampleFound (ROADMAP item 5)
 LOSSES = [
-    ("2", 1, 1, "white-literal", 529148, 4, 8, 48, ["1"],
-     "09eb88f1321cc2c724afe0132832610ad7a99b3a684613dd7adc1afbdd685f5f"),
     ("2", 1, 1, "white-avoid", 676641, 5, 9, 48, ["X^8 + X^7 + X^5 + X^2 + 1"],
      "3579e71e2c1d208f46dc18df88591efa777d32c7612a23048366144b157a4607"),
     ("2", 1, 1, "white-avoid", 351616, 5, 10, 48, ["X^6 + X^3 + 1"],
@@ -235,6 +355,25 @@ def test_benchmark_losses_are_pinned(game, tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert code == 4
     assert err["error"] == "CounterexampleFound" and err["q"] == q
+
+
+# (game seed, certify cap): white-literal games of the benchmark's
+# game-f2-literal kind that once lost to q = 1, a k-type danger the anchored
+# move left standing; White now dodges it with the avoidance move
+LITERAL_Q1 = [(529148, 8), (753899, 8)]
+
+
+@pytest.mark.parametrize("game", LITERAL_Q1, ids=lambda g: str(g[0]))
+def test_literal_white_dodges_q_one(game, tmp_path, capsys):
+    seed, cert_cap = game
+    path = tmp_path / "t.jsonl"
+    _game_run(capsys, path, "2", 1, 1, "white-literal", seed, 4)
+    code = main([
+        "certify", "--transcript", str(path), "--cap", str(cert_cap),
+        "--precision", "48", "--no-timestamp",
+    ])
+    capsys.readouterr()
+    assert code == 0
 
 
 def test_bench_layers_runs_on_tiny_inputs(tmp_path):
