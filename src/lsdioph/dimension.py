@@ -225,11 +225,10 @@ def _dead_prefix_counts_gf2(K_exp: int, cap: int, t: int, budget: int):
     fixed bit patterns (a subcube), then count the cell prefixes entirely
     covered by the union of subcubes.
     """
-    # every prefix of every resolution up to t is tested once at least
-    if (1 << (t + 1)) - 2 > budget:
+    prefixes = (1 << (t + 1)) - 2  # of every resolution up to t: each is tested
+    if prefixes > budget:
         raise SearchBudgetExceeded(
-            f"box count needs {(1 << (t + 1)) - 2} prefix tests at least, over the budget"
-            f" of {budget}",
+            f"box count needs {prefixes} prefix tests at least, over the budget of {budget}",
             count=0,
         )
     subcubes = []  # (fixed_len, pattern_int) bits 0.. fixed_len-1 <-> exps -1..-fixed_len

@@ -166,7 +166,7 @@ class FqEchelon:
 
     def add(self, row):
         """Insert a row; return its pivot, or None when the kept rows imply it."""
-        if not any(row):  # 0 = 0; a zero row with b != 0 reduces to its pivot nvars
+        if not any(row):  # 0 = 0; a row 0 = b with b != 0 goes on to pivot nvars
             return None
         row = self._reduce(list(row))
         c = next((i for i, a in enumerate(row) if a), None)

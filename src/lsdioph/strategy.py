@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .approx import LinearFormSystem, build_hat, exact_dist, iter_polys
 from .approx import height_class_rank, truncation_depth
-from .errors import CounterexampleFound, NoLegalCenter, SearchBudgetExceeded
+from .errors import CounterexampleFound, SearchBudgetExceeded
 from .field import FieldSpec, Magnitude, Poly, floor_log
 from .game import FormalBall, GameTranscript, canonicalize, legal_center_shift_exponent
 from .linalg import FqEchelon, coefficient_row, det_entries, first_vector, height_vectors
@@ -555,7 +555,7 @@ class AvoidanceWhite:
         # (kind, h) -> (echelon of the danger rows, lowest exponent they
         # reach), or None once no vector of height k^h is left
         self._spaces = {}
-        self._dead = {"k": 0, "h": 0}  # the None entries per kind
+        self._dead = {"k": 0, "h": 0}  # per kind, the heights set to None
         self._black = (None, 0, None)  # see black_radius
         self.dodges = 0
 
@@ -631,8 +631,8 @@ class AvoidanceWhite:
             # in integers: ceil(a/d) - 1 is the largest integer below a/d
             window, thr = cfg.scaled_exponents(kind, i)
             top = min(-(-window // d) - 1, cfg.height_cap_exp)
-            row = (i, _over(thr, d), -(-thr // d) - 1)
-            rows.extend((h, *row) for h in range(len(rows), top + 1))
+            level = (i, _over(thr, d), -(-thr // d) - 1)
+            rows.extend((h, *level) for h in range(len(rows), top + 1))
             i += 1
         self._next_level[kind] = i
         return rows
@@ -642,11 +642,12 @@ class AvoidanceWhite:
         prev = t.last()
         alpha = t.params.alpha
         spec = cfg.spec
+        radius = alpha * prev.radius
         dangers = self.active_dangers(t)
         if not dangers:
-            return FormalBall(prev.center, alpha * prev.radius)
+            return FormalBall(prev.center, radius)
         g = legal_center_shift_exponent(prev, alpha)
-        e_sub = floor_log(alpha * prev.radius, spec.k)
+        e_sub = floor_log(radius, spec.k)
         best = None
         for delta_pat in self._candidate_patterns():
             shift = _pattern_matrix(spec, cfg.m, cfg.n, delta_pat, g)
@@ -656,7 +657,7 @@ class AvoidanceWhite:
         _, pat, shift = best
         if any(pat):
             self.dodges += 1
-        return FormalBall(prev.center + shift, alpha * prev.radius)
+        return FormalBall(prev.center + shift, radius)
 
     # -- candidate grid ------------------------------------------------------
 
@@ -721,13 +722,14 @@ class LiteralWhite:
         prev = t.last()
         alpha = t.params.alpha
         spec = cfg.spec
+        radius = alpha * prev.radius
         dangers = self._avoid.active_dangers(t)
         if not dangers:
             # no hypothetical bad matrix to refute: the anchored maneuver is
             # only engaged inside a danger episode
             self.anchor = None
             self.hold = 0
-            return FormalBall(prev.center, alpha * prev.radius)
+            return FormalBall(prev.center, radius)
         if self.anchor is None or self.hold <= 0:
             self.anchor = self._compute_anchor(t)
             self.hold = self.anchor_rounds(t.params)
@@ -745,16 +747,12 @@ class LiteralWhite:
         shift = _pattern_matrix(spec, cfg.m, cfg.n, pat, g)
         # the anchor comes from the h-type dangers only: a k-type one the
         # anchored move leaves standing is dodged by the avoidance move
-        e_sub = floor_log(alpha * prev.radius, spec.k)
+        e_sub = floor_log(radius, spec.k)
         if any(self._avoid.margin(shift, e_sub, *d) <= 0 for d in dangers if d[0] == "k"):
             return self._avoid.propose(t)
-        ball = FormalBall(prev.center + shift, alpha * prev.radius)
-        # the anchored-projection bound: k^g >= (1 - alpha) * radius / k
-        if Fraction(spec.k**g if g >= 0 else Fraction(1, spec.k**-g)) * spec.k < (
-            1 - alpha
-        ) * prev.radius:
-            raise NoLegalCenter("k-grid exhausted below the projection bound")
-        return ball
+        # the anchored-projection bound k^(g+1) > (1 - alpha) * prev.radius
+        # holds: g is the largest exponent with k^g <= (1 - alpha) * prev.radius
+        return FormalBall(prev.center + shift, radius)
 
     def _compute_anchor(self, t: GameTranscript):
         cfg = self.cfg

@@ -390,6 +390,7 @@ def test_bench_layers_runs_on_tiny_inputs(tmp_path):
     assert report["src_lines"] > 0
     assert set(report["rows"]) >= {
         "series.parse_series", "series.format_series", "game.validate_move", "game.play",
+        "strategy.active_dangers", "linalg.FqEchelon.add",
         "game.to_jsonl", "game.from_jsonl", "cli.game_certify", "cli.certify_long",
         "cli.measure_digits",
     }

@@ -11,6 +11,12 @@ game, whose centres carry tuple coefficients, all of ``--rounds`` rounds.
 - ``series.parse_series`` / ``series.format_series``: every centre entry of
   every record, one call each;
 - ``game.validate_move``: every move of the transcripts;
+- ``strategy.active_dangers``: White's danger scan before each of its
+  moves, a fresh white-avoid White per transcript fed its balls one by one
+  as ``game.play`` does;
+- ``linalg.FqEchelon.add``: the rows that scan adds, recorded once and
+  added again to fresh echelons (``calls`` counts them, so it moves when
+  the scan adds fewer rows);
 - ``game.play``, ``game.to_jsonl``, ``game.from_jsonl``: whole transcripts;
 - ``cli.game_certify``: one 24-round ``game run`` plus ``certify`` through
   ``lsdioph.cli.main``, as in the benchmark's game job;
@@ -57,6 +63,7 @@ from lsdioph.game import (  # noqa: E402
     unit_ball,
     validate_move,
 )
+from lsdioph.linalg import FqEchelon  # noqa: E402
 from lsdioph.series import format_series, parse_field, parse_series  # noqa: E402
 from lsdioph.strategy import StrategyConfig, make_white  # noqa: E402
 
@@ -81,6 +88,43 @@ def _play(field: str, cap: int, seed: int, rounds: int) -> GameTranscript:
     params = GameParams(Fraction(1, 4), Fraction(1, 2), spec)
     white = make_white("white-avoid", StrategyConfig(spec, 1, 1, height_cap_exp=cap))
     return play(white, RandomBlack(seed), unit_ball(spec, 1, 1), params, StopRule(max_rounds=rounds))
+
+
+def _scan(fixed, transcripts) -> None:
+    """White's danger scans over the transcripts, as ``_play`` runs them."""
+    for (field, cap, _seed), t in zip(fixed, transcripts):
+        white = make_white("white-avoid", StrategyConfig(t.params.spec, 1, 1, height_cap_exp=cap))
+        grown = GameTranscript(t.params)
+        for i, ball in enumerate(t.balls[:-1]):
+            grown.balls.append(ball)
+            if i % 2 == 0:  # White moves after each Black ball
+                white.active_dangers(grown)
+
+
+def _scan_rows(fixed, transcripts):
+    """The rows the scans add, as (echelon index, row), and per echelon its
+    (spec, nvars)."""
+    rows, echelons, add = [], {}, FqEchelon.add
+
+    def record(self, row):
+        # the echelon is kept, so its id is not reused
+        index = echelons.setdefault(id(self), (len(echelons), self))[0]
+        rows.append((index, list(row)))
+        return add(self, row)
+
+    FqEchelon.add = record
+    try:
+        _scan(fixed, transcripts)
+    finally:
+        FqEchelon.add = add
+    shapes = [(e.spec, e.nvars) for _index, e in sorted(echelons.values(), key=lambda v: v[0])]
+    return rows, shapes
+
+
+def _add_rows(rows, shapes) -> None:
+    echelons = [FqEchelon(spec, nvars) for spec, nvars in shapes]
+    for index, row in rows:
+        echelons[index].add(row)
 
 
 def _cli(*argv) -> None:
@@ -116,6 +160,8 @@ def layers(games: int, rounds: int, long_rounds: int, measure_exp: int, path: st
         for t in transcripts
         for i in range(1, len(t.balls))
     ]
+    scans = sum(len(t.balls) // 2 for t in transcripts)
+    rows_added, shapes = _scan_rows(fixed, transcripts)
     run, certify = _game_argv(24, path)
 
     def run_certify():
@@ -127,6 +173,8 @@ def layers(games: int, rounds: int, long_rounds: int, measure_exp: int, path: st
          lambda: [parse_series(text, x.spec) for x, text in entries]),
         ("series.format_series", len(entries), lambda: [format_series(x) for x, _ in entries]),
         ("game.validate_move", len(moves), lambda: [validate_move(*move) for move in moves]),
+        ("strategy.active_dangers", scans, lambda: _scan(fixed, transcripts)),
+        ("linalg.FqEchelon.add", len(rows_added), lambda: _add_rows(rows_added, shapes)),
         ("game.play", len(fixed), lambda: [_play(f, c, s, rounds) for f, c, s in fixed]),
         ("game.to_jsonl", len(texts), lambda: [t.to_jsonl() for t in transcripts]),
         ("game.from_jsonl", len(texts), lambda: [GameTranscript.from_jsonl(x) for x in texts]),
