@@ -38,13 +38,10 @@ class FormalBall:
     radius: Fraction
 
     def __post_init__(self):
-        r = self.radius
-        if not isinstance(r, Fraction):
-            if r <= 0:
-                raise ValueError("radius must be positive")
-            object.__setattr__(self, "radius", Fraction(r))
-        elif r.numerator <= 0:
+        if self.radius <= 0:
             raise ValueError("radius must be positive")
+        if not isinstance(self.radius, Fraction):
+            object.__setattr__(self, "radius", Fraction(self.radius))
         if not self.center.is_exact:
             raise ValueError("center entries must be exact finite-support series")
 
