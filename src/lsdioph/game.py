@@ -38,10 +38,13 @@ class FormalBall:
     radius: Fraction
 
     def __post_init__(self):
-        if self.radius <= 0:
+        r = self.radius
+        if not isinstance(r, Fraction):
+            if r <= 0:
+                raise ValueError("radius must be positive")
+            object.__setattr__(self, "radius", Fraction(r))
+        elif r.numerator <= 0:  # an int comparison, cheaper than Fraction's
             raise ValueError("radius must be positive")
-        if not isinstance(self.radius, Fraction):
-            object.__setattr__(self, "radius", Fraction(self.radius))
         if not self.center.is_exact:
             raise ValueError("center entries must be exact finite-support series")
 
@@ -83,12 +86,12 @@ def formal_contains(inner: FormalBall, outer: FormalBall) -> bool:
     """Exact test of rho_in + ||c_in - c_out|| <= rho_out.  Centers have
     finite support and store no zero coefficient, so ||c_in - c_out|| is
     k^gap, gap the largest exponent at which their coefficients differ."""
-    if inner.center.shape != outer.center.shape:
-        raise ValueError("dimension mismatch")
-    if inner.spec != outer.spec:
-        raise ValueError("mixed field specs")
     gap = None
     if inner.center is not outer.center:  # a concentric move shares its centre
+        if inner.center.shape != outer.center.shape:
+            raise ValueError("dimension mismatch")
+        if inner.spec != outer.spec:
+            raise ValueError("mixed field specs")
         pairs = zip(
             (x for row in inner.center.entries for x in row),
             (y for row in outer.center.entries for y in row),
