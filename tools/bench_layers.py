@@ -92,7 +92,7 @@ def _play(field: str, cap: int, seed: int, rounds: int) -> GameTranscript:
 
 def _scan(fixed, transcripts) -> None:
     """White's danger scans over the transcripts, as ``_play`` runs them."""
-    for (field, cap, _seed), t in zip(fixed, transcripts):
+    for (_field, cap, _seed), t in zip(fixed, transcripts):
         white = make_white("white-avoid", StrategyConfig(t.params.spec, 1, 1, height_cap_exp=cap))
         grown = GameTranscript(t.params)
         for i, ball in enumerate(t.balls[:-1]):
